@@ -8,26 +8,26 @@ continuous knapsack, and a damped iterated-best-response loop locates the
 equilibrium rule and shade.
 """
 
-from .grid import Grid, Tabulated, integrate, interp, make_grid
+from .grid import Grid, Tabulated, integrate, make_grid
 from .distributions import (DistributionSpec, burr_xii, cdf, fit_empirical, gpd, mean,
                             pdf, tabulate_pdf, truncated_normal, uniform)
-from .blinding import BlindedModel, blind, build_blinded_model, posterior
+from .blinding import blind, posterior_table
 from .bidder import (Strategy, best_response_constant, best_response_functional,
-                     blinded_regret_DI, shade_objective)
+                     blinded_regret_DI, retained_integrand, shade_objective)
 from .center import (Budget, InfeasibleBudgetError, PaymentRule, constraint_weights,
-                     k_vcg, payment_rule, ratio_diagnostics, solve_center, solve_center_ratio)
+                     k_vcg, payment_rule, ratio_diagnostics, solve_center)
 from .rules import ReferenceRule, RuleDiagnostics, calibrate, diagnose, realize
 from .equilibrium import EquilibriumConfig, EquilibriumTrace, find_equilibrium, format_report
 
 __all__ = [
-    "Grid", "Tabulated", "integrate", "interp", "make_grid",
+    "Grid", "Tabulated", "integrate", "make_grid",
     "DistributionSpec", "gpd", "burr_xii", "truncated_normal", "uniform",
     "fit_empirical", "pdf", "cdf", "mean", "tabulate_pdf",
-    "BlindedModel", "blind", "posterior", "build_blinded_model",
-    "Strategy", "shade_objective", "best_response_constant",
+    "blind", "posterior_table",
+    "Strategy", "retained_integrand", "shade_objective", "best_response_constant",
     "best_response_functional", "blinded_regret_DI",
     "Budget", "PaymentRule", "payment_rule", "InfeasibleBudgetError",
-    "constraint_weights", "solve_center", "solve_center_ratio",
+    "constraint_weights", "solve_center",
     "ratio_diagnostics", "k_vcg",
     "ReferenceRule", "RuleDiagnostics", "calibrate", "diagnose", "realize",
     "EquilibriumConfig", "EquilibriumTrace", "find_equilibrium", "format_report",

@@ -66,18 +66,21 @@ class Strategy:
         return np.asarray(self.table(arr), dtype=float)
 
 
+def retained_integrand(s, rule, xs: np.ndarray) -> np.ndarray:
+    """Retained regret ``I[x < s] x + I[x >= s] r(x - s)`` at ``xs``, one row per shade."""
+    s = np.asarray(s, dtype=float)[..., None]
+    return np.where(xs < s, xs, np.asarray(rule(xs - s), dtype=float))
+
+
 def shade_objective(s, rule, belief: Tabulated, grid: Grid):
     """Expected retained regret of shading by ``s`` under ``belief``.
 
-    Quadrature of ``I[psi >= s] r(psi - s) + I[psi < s] psi`` against the
-    belief density.  Accepts a scalar or an array of shades.
+    Quadrature of :func:`retained_integrand` against the belief density.
+    Accepts a scalar or an array of shades.
     """
     xs = grid.samples
     weights = np.asarray(belief(xs), dtype=float) * grid.sample_width
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    pay = np.asarray(rule(xs[None, :] - s_arr[:, None]), dtype=float)
-    integrand = np.where(xs[None, :] < s_arr[:, None], xs[None, :], pay)
-    out = integrand @ weights
+    out = retained_integrand(np.atleast_1d(np.asarray(s, dtype=float)), rule, xs) @ weights
     if np.isscalar(s) or np.asarray(s).ndim == 0:
         return float(out[0])
     return out
@@ -94,8 +97,7 @@ def _best_response_with_value(rule, belief: Tabulated, grid: Grid) -> tuple[floa
     weights = np.asarray(belief(xs), dtype=float) * grid.sample_width
 
     def objective(s: float) -> float:
-        pay = np.asarray(rule(xs - s), dtype=float)
-        return float(np.dot(np.where(xs < s, xs, pay), weights))
+        return float(retained_integrand(s, rule, xs) @ weights)
 
     cands = np.unique(np.concatenate(([grid.lower], grid.mids, [grid.upper])))
     cands = cands[(cands >= grid.lower) & (cands <= grid.upper)]

@@ -11,7 +11,6 @@ signal yields the bidder's posterior over its true profit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -48,32 +47,12 @@ def blind(f: DistributionSpec, sigma: float, grid: Grid) -> Tabulated:
     return Tabulated(grid, values, "density").normalized()
 
 
-def posterior(f: DistributionSpec, sigma: float, signal: float, grid: Grid) -> Tabulated:
-    """Belief over the true profit given a blinded signal.
-
-    Proportional to ``f(x) * mu_x(signal)``; node values are normalized
-    against a quadrature of the exact product so they agree with a fine-grid
-    oracle, not with the coarser interpolated curve.
-    """
-    if not sigma > 0.0:
-        raise ValueError("blinding stddev must be strictly positive")
-    if not grid.lower <= signal <= grid.upper:
-        raise ValueError(f"signal {signal} outside [{grid.lower}, {grid.upper}]")
-    sig = np.asarray([float(signal)])
-    raw_nodes = pdf(f, grid.mids) * _kernel_columns(grid.mids, sig, sigma, grid.lower, grid.upper)[0]
-    xs = grid.samples
-    raw_samples = pdf(f, xs) * _kernel_columns(xs, sig, sigma, grid.lower, grid.upper)[0]
-    total = float(raw_samples.sum() * grid.sample_width)
-    if total <= 1e-300:
-        raise ValueError(f"posterior at signal {signal} has zero mass")
-    return Tabulated(grid, raw_nodes / total, "density")
-
-
 def posterior_table(f: DistributionSpec, sigma: float, grid: Grid) -> list[Tabulated]:
     """Posteriors for every bin midpoint treated as the signal.
 
-    Shares the kernel evaluations across signals; equivalent to calling
-    :func:`posterior` per midpoint.
+    Each is proportional to ``f(x) * mu_x(signal)``; node values are
+    normalized against a quadrature of the exact product so they agree with
+    a fine-grid oracle, not with the coarser interpolated curve.
     """
     if not sigma > 0.0:
         raise ValueError("blinding stddev must be strictly positive")
@@ -90,24 +69,3 @@ def posterior_table(f: DistributionSpec, sigma: float, grid: Grid) -> list[Tabul
             raise ValueError(f"posterior at signal {grid.mids[b]} has zero mass")
         out.append(Tabulated(grid, raw_nodes / total, "density"))
     return out
-
-
-@dataclass(frozen=True)
-class BlindedModel:
-    """The blinded-information bundle: f plus both compounded densities."""
-
-    f: DistributionSpec
-    mu_sigma: float
-    w_sigma: float
-    g: Tabulated
-    h: Tabulated
-
-
-def build_blinded_model(f: DistributionSpec, mu_sigma: float, w_sigma: float, grid: Grid) -> BlindedModel:
-    return BlindedModel(
-        f=f,
-        mu_sigma=float(mu_sigma),
-        w_sigma=float(w_sigma),
-        g=blind(f, mu_sigma, grid),
-        h=blind(f, w_sigma, grid),
-    )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bidder import Strategy
-from .distributions import DistributionSpec, cdf, mean, tabulate_pdf
+from .distributions import DistributionSpec, cdf, mean
 from .grid import Grid, Tabulated
 
 
@@ -172,20 +172,6 @@ def solve_center(objective_density: Tabulated, constraint_density: Tabulated,
     w = constraint_weights(strategy, constraint_density, grid)
     r = _greedy_fill(c, w, grid.mids, budget.k, tie_break)
     return payment_rule(grid, r)
-
-
-def solve_center_ratio(f: DistributionSpec, strategy: Strategy, budget: Budget,
-                       grid: Grid, tie_break: str = "low") -> PaymentRule:
-    """Constant-strategy fast path: fill bins by the density-offset ratio.
-
-    With one density on both rows the knapsack order *is* the bin-averaged
-    ratio of the shifted to the unshifted density, so this solves the same
-    program as :func:`solve_center` on the tabulated ``f``.
-    """
-    if not strategy.is_constant:
-        raise ValueError("ratio method requires a constant strategy")
-    ftab = tabulate_pdf(f, grid)
-    return solve_center(ftab, ftab, strategy, budget, grid, tie_break)
 
 
 def ratio_diagnostics(f: DistributionSpec, strategy: Strategy, grid: Grid) -> np.ndarray:

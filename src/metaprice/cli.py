@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bidder import Strategy, blinded_regret_DI, regret_at_truth, shade_objective
-from .center import InfeasibleBudgetError, collected, ratio_diagnostics
+from .bidder import blinded_regret_DI, regret_at_truth, retained_integrand, shade_objective
+from .center import InfeasibleBudgetError, PaymentRule, collected, ratio_diagnostics
 from .distributions import (DistributionSpec, burr_xii, fit_empirical, gpd,
                             read_samples, tabulate_pdf, truncated_normal, uniform)
 from .equilibrium import EquilibriumConfig, EquilibriumTrace, find_equilibrium, format_report
@@ -105,6 +105,8 @@ PRESETS: dict[str, dict] = {
     },
 }
 
+PRESET_FLAGS = sorted({f for entry in PRESETS.values() for f in entry["flags"]})
+
 
 def preset_config(name: str, overrides: dict) -> ExperimentConfig:
     if name not in PRESETS:
@@ -137,9 +139,9 @@ def list_presets() -> str:
         lines.append(f"  {'':15s} flags: " + ", ".join(f"--{f}" for f in entry["flags"]))
     lines.append("  standard sweeps: exante-pareto --shape {-0.1,0.01,1};")
     lines.append("  exante-gamma --gamma {0.25,0.5,0.75}; blinded-pareto --sigma {2,5,10,1000}.")
-    lines.append("  note: the default budget is gamma 0.25.  Ex-ante budgets past a shape-dependent")
-    lines.append("  frontier have no equilibrium: about 0.45 for shape 1, between 0.375 and 0.4")
-    lines.append("  for shapes -0.1 and 0.01.  At gamma 0.5 all three exit with code 2.")
+    lines.append("  note: the default budget is gamma 0.25.  Measured ex-ante equilibria: shape 1 at")
+    lines.append("  gamma 0.40, 0.42 and an isolated 0.48, none at 0.44-0.46 or >= 0.5; shapes -0.1")
+    lines.append("  and 0.01 at 0.375, none at 0.4.  At gamma 0.5 all three exit with code 2.")
     return "\n".join(lines)
 
 
@@ -151,16 +153,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def _strategy_nodes(strategy: Strategy, grid: Grid) -> np.ndarray:
-    return strategy.shade_at(grid.mids)
-
-
 def write_artifacts(outdir: Path, trace: EquilibriumTrace, f: DistributionSpec, grid: Grid,
                     config: ExperimentConfig) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     rule = trace.rule
     strategy = trace.strategy
-    shades = _strategy_nodes(strategy, grid)
+    shades = strategy.shade_at(grid.mids)
     ftab = tabulate_pdf(f, grid)
 
     _write_csv(outdir / "rule.csv", ["psi", "payment_above_critical"],
@@ -170,11 +168,11 @@ def write_artifacts(outdir: Path, trace: EquilibriumTrace, f: DistributionSpec, 
     _write_csv(outdir / "ratio.csv", ["psi", "ratio"],
                zip(grid.mids, np.nan_to_num(rho, posinf=np.finfo(float).max)))
 
-    surface_rows = []
-    for shade in grid.mids:
-        pay = np.where(grid.mids < shade, grid.mids, np.asarray(rule(grid.mids - shade)))
-        surface_rows.extend(zip(grid.mids, np.full(grid.bins, shade), pay))
-    _write_csv(outdir / "surface.csv", ["psi", "shade", "value"], surface_rows)
+    # one row per (shade, psi) pair, shade-major
+    psi, shade = np.meshgrid(grid.mids, grid.mids)
+    surface = retained_integrand(grid.mids, rule, grid.mids)
+    _write_csv(outdir / "surface.csv", ["psi", "shade", "value"],
+               zip(psi.ravel(), shade.ravel(), surface.ravel()))
 
     if config.mode == "blinded":
         di = blinded_regret_DI(rule, f, config.mu_sigma, grid)
@@ -246,7 +244,6 @@ def run_diagnose(rule_path: str, config: ExperimentConfig) -> int:
     try:
         rule_tab = read_tabulated_csv(rule_path, kind="rule", subsamples=config.subsamples)
         grid = rule_tab.grid
-        from .center import PaymentRule
         rule = PaymentRule(rule_tab)
         f = build_distribution(config, grid)
         mu_sigma = config.mu_sigma if config.mu_sigma is not None else 1000.0
@@ -270,7 +267,7 @@ def main(argv=None) -> int:
     p_preset = sub.add_parser("preset", help="run a built-in experiment preset")
     p_preset.add_argument("name")
     p_preset.add_argument("--outdir", default=None)
-    for flag in sorted({f for entry in PRESETS.values() for f in entry["flags"]}):
+    for flag in PRESET_FLAGS:
         p_preset.add_argument(f"--{flag}", default=None)
 
     p_diag = sub.add_parser("diagnose", help="score a rule CSV against a config")
@@ -284,18 +281,9 @@ def main(argv=None) -> int:
     if args.command == "list-presets":
         print(list_presets())
         return 0
-    if args.command == "solve":
-        try:
-            config = ExperimentConfig.from_json(args.config)
-        except (ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        if args.outdir:
-            config.outdir = args.outdir
-        return run_experiment(config)
     if args.command == "preset":
         overrides = {}
-        for flag in sorted({f for entry in PRESETS.values() for f in entry["flags"]}):
+        for flag in PRESET_FLAGS:
             value = getattr(args, flag.replace("-", "_"), None)
             if value is not None:
                 overrides[flag] = value
@@ -309,15 +297,16 @@ def main(argv=None) -> int:
         else:
             config.outdir = f"out-{args.name}"
         return run_experiment(config)
+    try:
+        config = ExperimentConfig.from_json(args.config)
+    except (ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     if args.command == "diagnose":
-        try:
-            config = ExperimentConfig.from_json(args.config)
-        except (ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
         return run_diagnose(args.rule, config)
-    parser.error(f"unknown command {args.command!r}")
-    return 1
+    if args.outdir:
+        config.outdir = args.outdir
+    return run_experiment(config)
 
 
 def console_main() -> None:

@@ -77,19 +77,8 @@ def make_grid(lower: float, upper: float, bins: int, subsamples: int) -> Grid:
     return Grid(float(lower), float(upper), int(bins), int(subsamples))
 
 
-def _eval_on(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate ``fn`` on an array, tolerating scalar-only callables."""
-    try:
-        out = np.asarray(fn(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(v)) for v in x])
-
-
 def integrate(fn: Callable, grid: Grid, lo: float | None = None, hi: float | None = None) -> float:
-    """Midpoint-rule quadrature of ``fn`` over ``[lo, hi]``.
+    """Midpoint-rule quadrature of a vectorized ``fn`` over ``[lo, hi]``.
 
     Uses the grid's fixed sample points; sub-intervals that straddle ``lo``
     or ``hi`` contribute in proportion to their overlap.  ``[lo, hi]`` must
@@ -110,7 +99,7 @@ def integrate(fn: Callable, grid: Grid, lo: float | None = None, hi: float | Non
     live = overlap > 0.0
     if not live.any():
         return 0.0
-    return float(np.dot(_eval_on(fn, x[live]), overlap[live]))
+    return float(np.dot(np.asarray(fn(x[live]), dtype=float), overlap[live]))
 
 
 @dataclass(frozen=True)
@@ -162,11 +151,6 @@ class Tabulated:
         if total <= 0.0:
             raise ValueError("cannot normalize a zero-mass tabulation")
         return Tabulated(self.grid, self.values / total, self.kind)
-
-
-def interp(tab: Tabulated, x):
-    """Linear interpolation with the kind's boundary policy."""
-    return tab(x)
 
 
 def write_tabulated_csv(tab: Tabulated, path: str | Path, value_column: str = "value") -> None:

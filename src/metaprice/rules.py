@@ -117,16 +117,13 @@ class RuleDiagnostics:
         return asdict(self)
 
 
-def diagnose(rule: PaymentRule, f: DistributionSpec, mu_sigma: float, grid: Grid,
-             strategy: Strategy | None = None) -> RuleDiagnostics:
+def diagnose(rule: PaymentRule, f: DistributionSpec, mu_sigma: float, grid: Grid) -> RuleDiagnostics:
     """Rule scorecard: regret measures, deviation incentive, collected budget.
 
-    ``strategy`` fixes the shading used for the collected-budget entry; by
-    default the bidder's own constant best response is used.
+    The collected budget is taken at the bidder's constant best response.
     """
     ftab = tabulate_pdf(f, grid)
     s_star = best_response_constant(rule, ftab, grid)
-    strat = strategy if strategy is not None else Strategy.const(s_star)
     return RuleDiagnostics(
         regret_at_truth=regret_at_truth(rule, f, grid),
         worst_case_regret=float(rule.values.max()),
@@ -134,5 +131,5 @@ def diagnose(rule: PaymentRule, f: DistributionSpec, mu_sigma: float, grid: Grid
         best_response_shade=s_star,
         retained_at_best_response=shade_objective(s_star, rule, ftab, grid),
         collected_at_truth=collected(rule, Strategy.const(0.0), ftab, grid),
-        collected_at_strategy=collected(rule, strat, ftab, grid),
+        collected_at_strategy=collected(rule, Strategy.const(s_star), ftab, grid),
     )

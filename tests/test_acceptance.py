@@ -26,7 +26,7 @@ from metaprice.bidder import (TIE_RTOL, Strategy, best_response_constant,
                               regret_at_truth, shade_objective)
 from metaprice.center import (Budget, InfeasibleBudgetError, collected, constraint_weights,
                               k_vcg, payment_rule, ratio_diagnostics, solve_center,
-                              solve_center_ratio, _greedy_fill)
+                              _greedy_fill)
 from metaprice.cli import build_distribution, build_grid, preset_config
 from metaprice.distributions import burr_xii, gpd, tabulate_pdf, truncated_normal, uniform
 from metaprice.equilibrium import EquilibriumConfig, find_equilibrium
@@ -364,8 +364,8 @@ def test_criterion_06_exponential_degeneracy():
     budget = Budget.from_gamma(0.25, f, GRID)
     ftab = tabulate_pdf(f, GRID)
     masses = ftab.bin_masses()
-    obj_low = float(np.dot(masses, solve_center_ratio(f, strat, budget, GRID, tie_break="low").values))
-    obj_high = float(np.dot(masses, solve_center_ratio(f, strat, budget, GRID, tie_break="high").values))
+    obj_low = float(np.dot(masses, solve_center(ftab, ftab, strat, budget, GRID, tie_break="low").values))
+    obj_high = float(np.dot(masses, solve_center(ftab, ftab, strat, budget, GRID, tie_break="high").values))
     gap = abs(obj_low - obj_high)
     report(6, "exponential degeneracy", spread < 1e-3 and gap < 1e-6,
            f"ratio spread {spread:.2e}; tie-order objective gap {gap:.2e}")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from metaprice.bidder import (Strategy, best_response_constant, best_response_functional,
-                              blinded_regret_DI, regret_at_truth, shade_objective)
+                              blinded_regret_DI, regret_at_truth, retained_integrand,
+                              shade_objective)
 from metaprice.center import payment_rule
 from metaprice.distributions import gpd, pdf, tabulate_pdf, uniform
 from metaprice.grid import Tabulated, make_grid
@@ -69,6 +70,21 @@ class TestShadeObjective:
         vec = shade_objective(ss, rule, F_TAB, GRID)
         for s, v in zip(ss, vec):
             assert v == pytest.approx(shade_objective(float(s), rule, F_TAB, GRID), rel=1e-12)
+
+    def test_integrand_rows_match_scalar_shades(self):
+        # a scalar shade gives one 1-D row, an array one row per shade;
+        # below the shade the bidder forfeits x, above it retains r(x - s)
+        rule = small_rule(3.0)
+        ss = np.array([0.0, 0.3, 1.7, 9.9])
+        rows = retained_integrand(ss, rule, GRID.mids)
+        assert rows.shape == (4, GRID.bins)
+        for s, row in zip(ss, rows):
+            scalar = retained_integrand(float(s), rule, GRID.mids)
+            assert scalar.shape == (GRID.bins,)
+            assert np.array_equal(row, scalar)
+            lost = GRID.mids < s
+            assert np.array_equal(row[lost], GRID.mids[lost])
+            assert np.array_equal(row[~lost], rule(GRID.mids[~lost] - s))
 
 
 class TestBestResponseConstant:

@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from metaprice.blinding import blind, build_blinded_model, posterior
+from metaprice.blinding import blind, posterior_table
 from metaprice.distributions import gpd, pdf, uniform
 from metaprice.grid import integrate, make_grid
 
 GRID = make_grid(0, 10, 50, 200)
 F_PARETO = gpd(0, 1, 1.0, 0, 10)
+
+
+def posterior_at(f, sigma, signal):
+    """The ``posterior_table`` row whose bin midpoint is ``signal``."""
+    b = int(np.argmin(np.abs(GRID.mids - signal)))
+    assert GRID.mids[b] == pytest.approx(signal)
+    return posterior_table(f, sigma, GRID)[b]
 
 
 def truncnorm_pdf(points, center, sigma, lo=0.0, hi=10.0):
@@ -28,7 +35,7 @@ def test_blind_requires_positive_sigma():
 
 
 def test_blind_preserves_unit_mass_and_nonnegativity():
-    for sigma in (0.1, 1.0, 5.0, 100.0):
+    for sigma in (0.1, 1.0, 2.0, 5.0, 100.0):
         g = blind(F_PARETO, sigma, GRID)
         assert np.all(g.values >= 0.0)
         assert integrate(g, GRID) == pytest.approx(1.0, abs=1e-6)
@@ -76,7 +83,7 @@ def test_posterior_concentrates_as_sigma_vanishes():
     # of the mass within one bin width of it (the linear tabulation of a
     # node-centered spike is a tent spanning exactly that window)
     signal = 4.9
-    post = posterior(F_PARETO, 0.05, signal, GRID)
+    post = posterior_at(F_PARETO, 0.05, signal)
     assert GRID.mids[int(np.argmax(post.values))] == pytest.approx(signal)
     xs = GRID.samples
     vals = post(xs)
@@ -85,7 +92,7 @@ def test_posterior_concentrates_as_sigma_vanishes():
 
 
 def test_posterior_wide_kernel_returns_prior():
-    post = posterior(F_PARETO, 1000.0, 5.0, GRID)
+    post = posterior_at(F_PARETO, 1000.0, 5.1)
     xs = GRID.samples
     l1 = np.sum(np.abs(post(xs) - pdf(F_PARETO, xs))) * GRID.sample_width
     assert l1 < 0.02
@@ -95,8 +102,8 @@ def test_posterior_matches_fine_grid_product_oracle():
     # brute-force normalized product on a 5000-point grid; the posterior's
     # node values are compared where they are defined (between nodes the
     # piecewise-linear tabulation carries its fixed O(width^2) chord error)
-    sigma, signal = 5.0, 5.0
-    post = posterior(F_PARETO, sigma, signal, GRID)
+    sigma, signal = 5.0, 5.1
+    post = posterior_at(F_PARETO, sigma, signal)
     xs = np.linspace(0, 10, 5000)
     w = xs[1] - xs[0]
     raw = pdf(F_PARETO, xs) * truncnorm_pdf(signal, xs, sigma)
@@ -108,16 +115,14 @@ def test_posterior_matches_fine_grid_product_oracle():
 
 def test_posterior_validates_inputs():
     with pytest.raises(ValueError):
-        posterior(F_PARETO, -1.0, 5.0, GRID)
-    with pytest.raises(ValueError):
-        posterior(F_PARETO, 1.0, 11.0, GRID)
+        posterior_table(F_PARETO, -1.0, GRID)
 
 
 def test_posterior_zero_mass_rejected():
     # profits concentrated far from the signal with a narrow kernel
     spike = gpd(0, 1e-6, 0.0, 0, 10)  # essentially all mass near 0
     with pytest.raises(ValueError):
-        posterior(spike, 1e-6, 9.9, GRID)
+        posterior_at(spike, 1e-6, 9.9)
 
 
 def test_expected_posterior_variance_nondecreasing_in_sigma():
@@ -129,8 +134,7 @@ def test_expected_posterior_variance_nondecreasing_in_sigma():
         gvals = g(GRID.mids)
         gmass = gvals / gvals.sum()
         var = 0.0
-        for signal, weight in zip(GRID.mids, gmass):
-            post = posterior(F_PARETO, sigma, signal, GRID)
+        for post, weight in zip(posterior_table(F_PARETO, sigma, GRID), gmass):
             pv = post(xs)
             z = pv.sum() * w
             m1 = (xs * pv).sum() * w / z
@@ -138,11 +142,3 @@ def test_expected_posterior_variance_nondecreasing_in_sigma():
             var += weight * (m2 - m1 * m1)
         expected_var.append(var)
     assert all(a <= b + 1e-6 for a, b in zip(expected_var, expected_var[1:]))
-
-
-def test_blinded_model_bundles_g_and_h():
-    model = build_blinded_model(F_PARETO, 5.0, 2.0, GRID)
-    assert integrate(model.g, GRID) == pytest.approx(1.0, abs=1e-6)
-    assert integrate(model.h, GRID) == pytest.approx(1.0, abs=1e-6)
-    # same operation, different widths: h here is g blinded more tightly
-    assert np.allclose(model.h.values, blind(F_PARETO, 2.0, GRID).values)

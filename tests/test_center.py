@@ -5,8 +5,7 @@ import pytest
 
 from metaprice.bidder import Strategy
 from metaprice.center import (Budget, InfeasibleBudgetError, collected, constraint_weights,
-                              k_vcg, payment_rule, ratio_diagnostics, solve_center,
-                              solve_center_ratio)
+                              k_vcg, payment_rule, ratio_diagnostics, solve_center)
 from metaprice.center import _greedy_fill
 from metaprice.distributions import burr_xii, fit_empirical, gpd, tabulate_pdf, uniform
 from metaprice.grid import Tabulated, make_grid
@@ -193,21 +192,6 @@ class TestGreedyAgainstOracle:
 
 
 class TestRatioMethod:
-    def test_matches_general_path_exactly(self):
-        for gamma in (0.1, 0.25):
-            budget = Budget.from_gamma(gamma, F_PARETO, GRID)
-            strat = Strategy.const(0.2)
-            via_ratio = solve_center_ratio(F_PARETO, strat, budget, GRID)
-            via_general = solve_center(F_TAB, F_TAB, strat, budget, GRID)
-            obj_r = float(np.dot(F_TAB.bin_masses(), via_ratio.values))
-            obj_g = float(np.dot(F_TAB.bin_masses(), via_general.values))
-            assert abs(obj_r - obj_g) <= 1e-9 * max(1.0, abs(obj_g))
-
-    def test_requires_constant_strategy(self):
-        strat = Strategy.functional(Tabulated(GRID, np.zeros(50), "strategy"))
-        with pytest.raises(ValueError):
-            solve_center_ratio(F_PARETO, strat, Budget.from_gamma(0.1, F_PARETO, GRID), GRID)
-
     def test_ratio_direction_heavy_tail_rising(self):
         rho = ratio_diagnostics(F_PARETO, Strategy.const(0.2), GRID)
         valid = GRID.edges[1:] + 0.2 <= 10.0
@@ -227,9 +211,9 @@ class TestRatioMethod:
         spread = (rho[valid].max() - rho[valid].min()) / rho[valid].mean()
         assert spread < 1e-4
         budget = Budget.from_gamma(0.2, f, GRID)
-        low = solve_center_ratio(f, s, budget, GRID, tie_break="low")
-        high = solve_center_ratio(f, s, budget, GRID, tie_break="high")
         ftab = tabulate_pdf(f, GRID)
+        low = solve_center(ftab, ftab, s, budget, GRID, tie_break="low")
+        high = solve_center(ftab, ftab, s, budget, GRID, tie_break="high")
         obj_low = float(np.dot(ftab.bin_masses(), low.values))
         obj_high = float(np.dot(ftab.bin_masses(), high.values))
         assert abs(obj_low - obj_high) < 1e-6

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from metaprice.grid import (Tabulated, integrate, interp, make_grid,
+from metaprice.grid import (Tabulated, integrate, make_grid,
                             read_tabulated_csv, write_tabulated_csv)
 from metaprice.distributions import gpd, pdf
 
@@ -70,7 +70,7 @@ def test_integrate_rejects_outside_grid():
 def test_interp_midpoint_of_segment():
     grid = make_grid(0, 0.4, 2, 10)
     tab = Tabulated(grid, np.array([0.0, 2.0]), "rule")
-    assert interp(tab, 0.2) == pytest.approx(1.0)
+    assert tab(0.2) == pytest.approx(1.0)
 
 
 def test_interp_exact_at_nodes():

@@ -1,0 +1,37 @@
+"""Package surface: public exports and the benchmark's tracing targets resolve."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import metaprice
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in metaprice.__all__ if not hasattr(metaprice, name)]
+    assert not missing, f"stale names in metaprice.__all__: {missing}"
+    namespace = {}
+    exec("from metaprice import *", namespace)
+    assert set(metaprice.__all__) <= set(namespace)
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    # a traced benchmark run reports a layer whose target is gone as absent
+    # instead of failing, so a deleted or renamed target must fail here
+    spec = importlib.util.spec_from_file_location("metaprice_bench_spans", SPANS_PATH)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    targets = [(module, attr) for _, module, attr in spans.TARGETS + spans.COUNTED]
+    assert targets
+    missing = []
+    for module_name, attr in targets:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert not missing, f"benchmark trace targets no longer resolve: {missing}"
