@@ -67,7 +67,17 @@ class Strategy:
 
 
 def retained_integrand(s, rule, xs: np.ndarray) -> np.ndarray:
-    """Retained regret ``I[x < s] x + I[x >= s] r(x - s)`` at ``xs``, one row per shade."""
+    """Retained regret ``I[x < s] x + I[x >= s] r(x - s)`` at ``xs``, one row per shade.
+
+    ``xs`` must be ascending, as ``grid.samples`` and ``grid.mids`` are: a
+    scalar shade evaluates the rule only on the winning tail ``xs >= s``.
+    """
+    if np.ndim(s) == 0:
+        s = float(s)
+        out = np.array(xs, dtype=float)
+        i0 = int(np.searchsorted(out, s))
+        out[i0:] = rule(out[i0:] - s)
+        return out
     s = np.asarray(s, dtype=float)[..., None]
     return np.where(xs < s, xs, np.asarray(rule(xs - s), dtype=float))
 
@@ -92,16 +102,28 @@ def _local_minima(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero((values <= left) & (values <= right))
 
 
-def _best_response_with_value(rule, belief: Tabulated, grid: Grid) -> tuple[float, float]:
+def _scan_shades(grid: Grid) -> np.ndarray:
+    """Shades of the grid scan: both range ends and every bin midpoint."""
+    return np.unique(np.concatenate(([grid.lower], grid.mids, [grid.upper])))
+
+
+def _best_response_with_value(rule, belief: Tabulated, grid: Grid,
+                              scan: np.ndarray | None = None) -> tuple[float, float]:
+    """Best shade against ``belief`` and its expected retained regret.
+
+    ``scan`` is ``retained_integrand(_scan_shades(grid), rule, grid.samples)``;
+    a caller that responds to many beliefs under one rule builds it once.
+    """
     xs = grid.samples
     weights = np.asarray(belief(xs), dtype=float) * grid.sample_width
 
     def objective(s: float) -> float:
         return float(retained_integrand(s, rule, xs) @ weights)
 
-    cands = np.unique(np.concatenate(([grid.lower], grid.mids, [grid.upper])))
-    cands = cands[(cands >= grid.lower) & (cands <= grid.upper)]
-    vals = shade_objective(cands, rule, belief, grid)
+    cands = _scan_shades(grid)
+    if scan is None:
+        scan = retained_integrand(cands, rule, xs)
+    vals = scan @ weights
 
     pool: list[tuple[float, float]] = [(float(cands[0]), float(vals[0])), (float(cands[-1]), float(vals[-1]))]
     for idx in _local_minima(vals):
@@ -135,10 +157,12 @@ def best_response_constant(rule, belief: Tabulated, grid: Grid) -> float:
 def _functional_response(rule, f: DistributionSpec, mu_sigma: float, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Per-signal best responses: shade and attained objective per midpoint."""
     posts = posterior_table(f, mu_sigma, grid)
+    # the integrand does not depend on the belief: one scan matrix serves every signal
+    scan = retained_integrand(_scan_shades(grid), rule, grid.samples)
     shades = np.empty(grid.bins)
     values = np.empty(grid.bins)
     for b, belief in enumerate(posts):
-        shades[b], values[b] = _best_response_with_value(rule, belief, grid)
+        shades[b], values[b] = _best_response_with_value(rule, belief, grid, scan)
     return shades, values
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bidder import blinded_regret_DI, regret_at_truth, retained_integrand, shade_objective
+from .blinding import blind
 from .center import InfeasibleBudgetError, PaymentRule, collected, ratio_diagnostics
 from .distributions import (DistributionSpec, burr_xii, fit_empirical, gpd,
                             read_samples, tabulate_pdf, truncated_normal, uniform)
@@ -174,9 +175,12 @@ def write_artifacts(outdir: Path, trace: EquilibriumTrace, f: DistributionSpec, 
     _write_csv(outdir / "surface.csv", ["psi", "shade", "value"],
                zip(psi.ravel(), shade.ravel(), surface.ravel()))
 
+    # the budget row weighs what the center's does: the center-blinded density in blinded mode
     if config.mode == "blinded":
         di = blinded_regret_DI(rule, f, config.mu_sigma, grid)
+        constraint_density = blind(f, config.w_sigma, grid)
     else:
+        constraint_density = ftab
         s_star = float(strategy.constant)
         di = regret_at_truth(rule, f, grid) - shade_objective(s_star, rule, ftab, grid)
 
@@ -201,7 +205,7 @@ def write_artifacts(outdir: Path, trace: EquilibriumTrace, f: DistributionSpec, 
         "shade_nodes": [float(v) for v in shades],
         "deviation_incentive": di,
         "regret_at_truth": regret_at_truth(rule, f, grid),
-        "collected": collected(rule, strategy, ftab, grid),
+        "collected": collected(rule, strategy, constraint_density, grid),
     }
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)

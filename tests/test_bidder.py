@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from metaprice.bidder import (Strategy, best_response_constant, best_response_functional,
+from metaprice.bidder import (Strategy, _best_response_with_value, _functional_response,
+                              best_response_constant, best_response_functional,
                               blinded_regret_DI, regret_at_truth, retained_integrand,
                               shade_objective)
+from metaprice.blinding import posterior_table
 from metaprice.center import payment_rule
 from metaprice.distributions import gpd, pdf, tabulate_pdf, uniform
 from metaprice.grid import Tabulated, make_grid
@@ -86,6 +88,17 @@ class TestShadeObjective:
             assert np.array_equal(row[lost], GRID.mids[lost])
             assert np.array_equal(row[~lost], rule(GRID.mids[~lost] - s))
 
+    @pytest.mark.parametrize("xs", [GRID.samples, GRID.mids], ids=["samples", "mids"])
+    def test_scalar_tail_equals_masked_form_bit_for_bit(self, xs):
+        # a scalar shade evaluates the rule on the winning tail only; the row
+        # must equal the whole-axis masked form exactly, also at shades on a
+        # sample point, on a node, between samples, at and above the range end
+        rule = small_rule(3.0)
+        between = GRID.samples[4000] + 0.25 * GRID.sample_width
+        for s in (0.0, GRID.samples[1234], GRID.mids[17], between, GRID.upper, GRID.upper + 1.0):
+            masked = np.where(xs < s, xs, np.asarray(rule(xs - s), dtype=float))
+            assert np.array_equal(retained_integrand(s, rule, xs), masked), s
+
 
 class TestBestResponseConstant:
     def test_zero_rule_gives_exact_zero(self):
@@ -128,6 +141,19 @@ class TestBestResponseFunctional:
         strat = best_response_functional(rule, F_PARETO, 1000.0, GRID)
         s_exante = best_response_constant(rule, F_TAB, GRID)
         assert np.max(np.abs(strat.table.values - s_exante)) < GRID.width
+
+    @pytest.mark.parametrize("rule", [ZERO_RULE, IDENTITY_RULE, small_rule(4.0)],
+                             ids=["zero", "identity", "small"])
+    @pytest.mark.parametrize("sigma", [2.0, 1000.0])
+    def test_shared_scan_equals_per_belief_responses(self, rule, sigma):
+        # one scan matrix shared by every signal gives exactly the responses
+        # each posterior gets on its own
+        posts = posterior_table(F_PARETO, sigma, GRID)
+        alone = np.array([_best_response_with_value(rule, belief, GRID) for belief in posts])
+        shades, values = _functional_response(rule, F_PARETO, sigma, GRID)
+        assert np.all(best_response_functional(rule, F_PARETO, sigma, GRID).table.values == alone[:, 0])
+        assert np.all(shades == alone[:, 0])
+        assert np.all(values == alone[:, 1])
 
     def test_sharp_blinding_bids_critical_value(self):
         strat = best_response_functional(IDENTITY_RULE, F_PARETO, 0.05, GRID)

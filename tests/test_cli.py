@@ -5,7 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from metaprice.bidder import Strategy
+from metaprice.blinding import blind
+from metaprice.center import collected, payment_rule
 from metaprice.cli import ExperimentConfig, list_presets, main, preset_config
+from metaprice.distributions import gpd, tabulate_pdf
+from metaprice.grid import Tabulated, make_grid
 
 
 def write_config(tmp_path, **overrides):
@@ -113,6 +118,24 @@ def test_nonconvergence_exits_three_but_writes_files(tmp_path):
     out = tmp_path / "out"
     assert (out / "summary.json").exists()
     assert json.loads((out / "summary.json").read_text())["converged"] is False
+
+
+def test_blinded_collected_weighs_the_center_blinded_density(tmp_path):
+    # the center's budget row uses h = blind(f, w_sigma); summary's collected
+    # must weigh the reported rule and shades with the same density
+    config = write_config(tmp_path, mode="blinded", mu_sigma=2.0, w_sigma=5.0,
+                          max_rounds=2, bins=20, subsamples=50)
+    assert main(["solve", "--config", str(config)]) in (0, 3)
+    out = tmp_path / "out"
+    summary = json.loads((out / "summary.json").read_text())
+    grid = make_grid(0, 10, 20, 50)
+    f = gpd(0, 1, 1.0, 0, 10)
+    rule = payment_rule(grid, np.loadtxt(out / "rule.csv", delimiter=",", skiprows=1)[:, 1])
+    strategy = Strategy.functional(Tabulated(grid, np.array(summary["shade_nodes"]), "strategy"))
+    under_h = collected(rule, strategy, blind(f, 5.0, grid), grid)
+    assert summary["collected"] == under_h
+    for other in (tabulate_pdf(f, grid), blind(f, 2.0, grid)):
+        assert collected(rule, strategy, other, grid) != pytest.approx(under_h, rel=1e-3)
 
 
 def test_preset_config_resolution():
