@@ -154,21 +154,20 @@ def best_response_constant(rule, belief: Tabulated, grid: Grid) -> float:
     return _best_response_with_value(rule, belief, grid)[0]
 
 
-def _functional_response(rule, f: DistributionSpec, mu_sigma: float, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Per-signal best responses: shade and attained objective per midpoint."""
-    posts = posterior_table(f, mu_sigma, grid)
-    # the integrand does not depend on the belief: one scan matrix serves every signal
+def _best_responses(rule, beliefs: list[Tabulated], grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Best shade and its attained objective against each belief in turn."""
+    # the integrand does not depend on the belief: one scan matrix serves every belief
     scan = retained_integrand(_scan_shades(grid), rule, grid.samples)
-    shades = np.empty(grid.bins)
-    values = np.empty(grid.bins)
-    for b, belief in enumerate(posts):
+    shades = np.empty(len(beliefs))
+    values = np.empty(len(beliefs))
+    for b, belief in enumerate(beliefs):
         shades[b], values[b] = _best_response_with_value(rule, belief, grid, scan)
     return shades, values
 
 
 def best_response_functional(rule, f: DistributionSpec, mu_sigma: float, grid: Grid) -> Strategy:
     """Shade function: solve the constant problem against each signal's posterior."""
-    shades, _ = _functional_response(rule, f, mu_sigma, grid)
+    shades, _ = _best_responses(rule, posterior_table(f, mu_sigma, grid), grid)
     return Strategy.functional(Tabulated(grid, shades, "strategy"))
 
 
@@ -186,7 +185,7 @@ def blinded_regret_DI(rule, f: DistributionSpec, mu_sigma: float, grid: Grid) ->
     responds per signal; nonnegative up to quadrature error.
     """
     g = blind(f, mu_sigma, grid)
-    _, values = _functional_response(rule, f, mu_sigma, grid)
+    _, values = _best_responses(rule, posterior_table(f, mu_sigma, grid), grid)
     value_curve = Tabulated(grid, values, "rule")
     xs = grid.samples
     retained = float(np.dot(np.asarray(g(xs), dtype=float) * np.asarray(value_curve(xs), dtype=float),

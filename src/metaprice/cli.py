@@ -11,13 +11,12 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .bidder import blinded_regret_DI, regret_at_truth, retained_integrand, shade_objective
-from .blinding import blind
 from .center import InfeasibleBudgetError, PaymentRule, collected, ratio_diagnostics
 from .distributions import (DistributionSpec, burr_xii, fit_empirical, gpd,
                             read_samples, tabulate_pdf, truncated_normal, uniform)
@@ -31,17 +30,17 @@ class ExperimentConfig:
     """Flat, JSON-serializable description of one experiment."""
 
     distribution: dict = field(default_factory=lambda: {"family": "gpd", "location": 0.0, "scale": 1.0, "shape": 1.0})
-    mode: str = "exante"
-    gamma: float = 0.25
-    mu_sigma: float | None = None
-    w_sigma: float | None = None
+    mode: str = EquilibriumConfig.mode
+    gamma: float = EquilibriumConfig.gamma
+    mu_sigma: float | None = EquilibriumConfig.mu_sigma
+    w_sigma: float | None = EquilibriumConfig.w_sigma
     upper: float = 10.0
     lower: float = 0.0
     bins: int = 50
     subsamples: int = 200
-    alpha: float = 0.2
-    max_rounds: int = 50
-    tolerance: float = 1e-3
+    alpha: float = EquilibriumConfig.alpha
+    max_rounds: int = EquilibriumConfig.max_rounds
+    tolerance: float = EquilibriumConfig.tolerance
     outdir: str = "out"
 
     @classmethod
@@ -160,7 +159,6 @@ def write_artifacts(outdir: Path, trace: EquilibriumTrace, f: DistributionSpec, 
     rule = trace.rule
     strategy = trace.strategy
     shades = strategy.shade_at(grid.mids)
-    ftab = tabulate_pdf(f, grid)
 
     _write_csv(outdir / "rule.csv", ["psi", "payment_above_critical"],
                zip(grid.mids, rule.values))
@@ -175,28 +173,14 @@ def write_artifacts(outdir: Path, trace: EquilibriumTrace, f: DistributionSpec, 
     _write_csv(outdir / "surface.csv", ["psi", "shade", "value"],
                zip(psi.ravel(), shade.ravel(), surface.ravel()))
 
-    # the budget row weighs what the center's does: the center-blinded density in blinded mode
     if config.mode == "blinded":
         di = blinded_regret_DI(rule, f, config.mu_sigma, grid)
-        constraint_density = blind(f, config.w_sigma, grid)
     else:
-        constraint_density = ftab
         s_star = float(strategy.constant)
-        di = regret_at_truth(rule, f, grid) - shade_objective(s_star, rule, ftab, grid)
+        di = regret_at_truth(rule, f, grid) - shade_objective(s_star, rule, tabulate_pdf(f, grid), grid)
 
-    summary = {
-        "mode": config.mode,
-        "gamma": config.gamma,
-        "mu_sigma": config.mu_sigma,
-        "w_sigma": config.w_sigma,
-        "alpha": config.alpha,
-        "max_rounds": config.max_rounds,
-        "tolerance": config.tolerance,
-        "bins": config.bins,
-        "subsamples": config.subsamples,
-        "lower": config.lower,
-        "upper": config.upper,
-        "distribution": config.distribution,
+    summary = {key: value for key, value in asdict(config).items() if key != "outdir"}
+    summary.update({
         "converged": trace.converged,
         "rounds": trace.n_rounds,
         "k_vcg": trace.budget.k_vcg,
@@ -205,8 +189,8 @@ def write_artifacts(outdir: Path, trace: EquilibriumTrace, f: DistributionSpec, 
         "shade_nodes": [float(v) for v in shades],
         "deviation_incentive": di,
         "regret_at_truth": regret_at_truth(rule, f, grid),
-        "collected": collected(rule, strategy, constraint_density, grid),
-    }
+        "collected": collected(rule, strategy, trace.constraint_density, grid),
+    })
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -218,11 +202,8 @@ def run_experiment(config: ExperimentConfig) -> int:
     try:
         grid = build_grid(config)
         f = build_distribution(config, grid)
-        eq_config = EquilibriumConfig(
-            mode=config.mode, gamma=config.gamma,
-            mu_sigma=config.mu_sigma, w_sigma=config.w_sigma,
-            alpha=config.alpha, max_rounds=config.max_rounds, tolerance=config.tolerance,
-        )
+        eq_config = EquilibriumConfig(**{fld.name: getattr(config, fld.name)
+                                         for fld in fields(EquilibriumConfig)})
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -15,8 +15,8 @@ from typing import Literal
 
 import numpy as np
 
-from .bidder import Strategy, best_response_constant, best_response_functional
-from .blinding import blind
+from .bidder import Strategy, _best_responses
+from .blinding import blind, posterior_table
 from .center import Budget, PaymentRule, payment_rule, solve_center
 from .distributions import DistributionSpec, tabulate_pdf
 from .grid import Grid, Tabulated
@@ -54,8 +54,10 @@ class EquilibriumConfig:
 
 @dataclass(frozen=True)
 class Round:
+    """One round: the center's rule and the bidder's shade against each belief."""
+
     rule: PaymentRule
-    strategy: Strategy
+    shades: np.ndarray
     r_delta: float
     s_delta: float
 
@@ -64,6 +66,7 @@ class Round:
 class EquilibriumTrace:
     config: EquilibriumConfig
     budget: Budget
+    constraint_density: Tabulated
     rounds: list[Round] = field(default_factory=list)
     converged: bool = False
     rule: PaymentRule | None = None
@@ -77,43 +80,36 @@ class EquilibriumTrace:
 def find_equilibrium(f: DistributionSpec, config: EquilibriumConfig, grid: Grid) -> EquilibriumTrace:
     """Run damped iterated best response from the truthful strategy.
 
-    Ex-ante mode plays a constant shade against the profit density itself;
-    blinded mode plays a shade function, the center weighting its objective
-    by the bidder-blinded density and its budget row by the center-blinded
-    one.
+    The mode sets only the information: ex ante the center weighs objective
+    and budget row by ``f`` and the bidder answers ``f`` with one shade;
+    blinded, the center weighs them by the bidder- and center-blinded
+    densities and the bidder answers each signal's posterior.
     """
     budget = Budget.from_gamma(config.gamma, f, grid)
     ftab = tabulate_pdf(f, grid)
     if config.mode == "exante":
         objective_density = constraint_density = ftab
+        beliefs = [ftab]
     else:
         objective_density = blind(f, config.mu_sigma, grid)
         constraint_density = blind(f, config.w_sigma, grid)
+        beliefs = posterior_table(f, config.mu_sigma, grid)
 
-    trace = EquilibriumTrace(config=config, budget=budget)
+    trace = EquilibriumTrace(config=config, budget=budget, constraint_density=constraint_density)
     alpha = config.alpha
     r_bar = np.zeros(grid.bins)
-    s_bar: float | np.ndarray = 0.0 if config.mode == "exante" else np.zeros(grid.bins)
+    s_bar = np.zeros(grid.bins)
 
     for _ in range(config.max_rounds):
-        if config.mode == "exante":
-            damped_strategy = Strategy.const(float(s_bar))
-        else:
-            damped_strategy = Strategy.functional(Tabulated(grid, np.asarray(s_bar), "strategy"))
-
+        damped_strategy = Strategy.functional(Tabulated(grid, s_bar, "strategy"))
         rule_t = solve_center(objective_density, constraint_density, damped_strategy, budget, grid)
-        if config.mode == "exante":
-            s_t: float | np.ndarray = best_response_constant(rule_t, ftab, grid)
-            strategy_t = Strategy.const(float(s_t))
-        else:
-            strategy_t = best_response_functional(rule_t, f, config.mu_sigma, grid)
-            s_t = strategy_t.table.values
+        s_t, _ = _best_responses(rule_t, beliefs, grid)
 
         r_next = (1.0 - alpha) * r_bar + alpha * rule_t.values
         s_next = (1.0 - alpha) * s_bar + alpha * s_t
         r_delta = float(np.max(np.abs(r_next - r_bar)))
-        s_delta = float(np.max(np.abs(np.asarray(s_next) - np.asarray(s_bar))))
-        trace.rounds.append(Round(rule_t, strategy_t, r_delta, s_delta))
+        s_delta = float(np.max(np.abs(s_next - s_bar)))
+        trace.rounds.append(Round(rule_t, s_t, r_delta, s_delta))
         r_bar, s_bar = r_next, s_next
         if r_delta <= config.tolerance and s_delta <= config.tolerance:
             trace.converged = True
@@ -121,9 +117,9 @@ def find_equilibrium(f: DistributionSpec, config: EquilibriumConfig, grid: Grid)
 
     trace.rule = payment_rule(grid, r_bar)
     if config.mode == "exante":
-        trace.strategy = Strategy.const(float(s_bar))
+        trace.strategy = Strategy.const(s_bar[0])
     else:
-        trace.strategy = Strategy.functional(Tabulated(grid, np.asarray(s_bar), "strategy"))
+        trace.strategy = Strategy.functional(Tabulated(grid, s_bar, "strategy"))
     return trace
 
 

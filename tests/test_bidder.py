@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from metaprice.bidder import (Strategy, _best_response_with_value, _functional_response,
+from metaprice.bidder import (Strategy, _best_response_with_value, _best_responses,
                               best_response_constant, best_response_functional,
                               blinded_regret_DI, regret_at_truth, retained_integrand,
                               shade_objective)
@@ -150,7 +150,7 @@ class TestBestResponseFunctional:
         # each posterior gets on its own
         posts = posterior_table(F_PARETO, sigma, GRID)
         alone = np.array([_best_response_with_value(rule, belief, GRID) for belief in posts])
-        shades, values = _functional_response(rule, F_PARETO, sigma, GRID)
+        shades, values = _best_responses(rule, posts, GRID)
         assert np.all(best_response_functional(rule, F_PARETO, sigma, GRID).table.values == alone[:, 0])
         assert np.all(shades == alone[:, 0])
         assert np.all(values == alone[:, 1])

@@ -37,7 +37,7 @@ def solve(mu_sigma: float, w_sigma: float) -> dict:
     return {
         "rounds": [{"r_delta": rnd.r_delta, "s_delta": rnd.s_delta,
                     "rule": rnd.rule.values.tolist(),
-                    "shades": rnd.strategy.table.values.tolist()}
+                    "shades": rnd.shades.tolist()}
                    for rnd in trace.rounds],
         "rule": trace.rule.values.tolist(),
         "shades": trace.strategy.table.values.tolist(),

@@ -1,5 +1,6 @@
 """CLI: presets, artifact files, exit codes, byte-level determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from metaprice.blinding import blind
 from metaprice.center import collected, payment_rule
 from metaprice.cli import ExperimentConfig, list_presets, main, preset_config
 from metaprice.distributions import gpd, tabulate_pdf
+from metaprice.equilibrium import EquilibriumConfig
 from metaprice.grid import Tabulated, make_grid
 
 
@@ -67,6 +69,24 @@ def test_surface_has_loss_pyramid(tmp_path):
     losing = psi < shade
     assert np.allclose(value[losing], psi[losing])  # loss region emits psi itself
     assert rows.shape[0] == 50 * 50
+
+
+def test_experiment_defaults_are_the_equilibrium_defaults():
+    experiment = ExperimentConfig()
+    shared = [f.name for f in dataclasses.fields(EquilibriumConfig)]
+    assert set(shared) <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for name in shared:
+        assert getattr(experiment, name) == getattr(EquilibriumConfig(), name), name
+
+
+def test_summary_records_every_config_field_but_outdir(tmp_path):
+    config = write_config(tmp_path, alpha=0.3, max_rounds=2, bins=20, subsamples=50)
+    main(["solve", "--config", str(config)])
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    expected = dataclasses.asdict(ExperimentConfig.from_json(config))
+    del expected["outdir"]
+    assert {key: summary[key] for key in expected} == expected
+    assert "outdir" not in summary
 
 
 def test_identical_config_gives_byte_identical_outputs(tmp_path):

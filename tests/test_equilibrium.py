@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from metaprice import bidder, blinding, equilibrium
 from metaprice.bidder import Strategy, best_response_constant, shade_objective
 from metaprice.center import collected, solve_center
 from metaprice.distributions import gpd, tabulate_pdf
@@ -68,9 +69,33 @@ def test_intermediate_rules_satisfy_envelope_and_budget():
         # BB binds at the damped strategy the round was solved against
         got = collected(rnd.rule, Strategy.const(sbar), F_TAB, GRID)
         assert got >= trace.budget.k - 1e-9
-        sbar = (1 - cfg.alpha) * sbar + cfg.alpha * rnd.strategy.constant
+        sbar = (1 - cfg.alpha) * sbar + cfg.alpha * rnd.shades[0]
     # the damped final rule stays inside the envelope (convexity)
     assert np.all(trace.rule.values <= GRID.mids)
+
+
+def test_exante_round_shade_is_the_constant_best_response():
+    cfg = EquilibriumConfig(mode="exante", gamma=0.25)
+    trace = find_equilibrium(F_PARETO, cfg, GRID)
+    for rnd in trace.rounds:
+        assert rnd.shades.shape == (1,)
+        assert rnd.shades[0] == best_response_constant(rnd.rule, F_TAB, GRID)
+
+
+def test_blinded_solve_builds_posteriors_once(monkeypatch):
+    # neither f nor mu_sigma changes within a solve, so neither do the posteriors
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return blinding.posterior_table(*args, **kwargs)
+
+    for module in (bidder, equilibrium):
+        monkeypatch.setattr(module, "posterior_table", counting)
+    cfg = EquilibriumConfig(mode="blinded", gamma=0.25, mu_sigma=2.0, w_sigma=2.0, max_rounds=3)
+    trace = find_equilibrium(F_PARETO, cfg, SMALL)
+    assert trace.n_rounds == 3
+    assert len(calls) == 1
 
 
 def test_trace_is_deterministic():

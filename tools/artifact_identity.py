@@ -1,0 +1,111 @@
+"""Check that a change leaves every CLI artifact byte-identical.
+
+Runs one list of ``metaprice`` CLI commands twice, each command in its own
+``python -m metaprice.cli`` subprocess: once with the working tree's
+``src/`` and once with ``src/`` as committed at ``--base`` (extracted with
+``git archive``).  Every artifact file, exit code, stdout and stderr is
+compared byte for byte, with stdout's ``runtime:`` line (wall time) left out.
+Prints each difference and exits 1 if there is one, 0 otherwise.
+
+    python tools/artifact_identity.py [--base REV]
+
+The run list: ``preset exante-pareto`` at shapes -0.1, 0.01 and 1 and gamma
+0.1, 0.25, 0.4 and 0.5; ``preset exante-burr`` with its defaults and with
+``--c 3 --k 2 --gamma 0.2``; blinded ``solve`` at mu/w sigma 2/2 and 1000/5
+with 3 rounds; an ex-ante truncated normal (mean 5, sd 1.5) at gamma 0.2;
+and ``diagnose`` of the shape-1, gamma-0.25 rule under the sigma-2 config.
+Standard library only; the file name keeps it out of pytest.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+CONFIGS = {
+    "blinded_2_2.json": {"mode": "blinded", "mu_sigma": 2.0, "w_sigma": 2.0, "max_rounds": 3},
+    "blinded_1000_5.json": {"mode": "blinded", "mu_sigma": 1000.0, "w_sigma": 5.0, "max_rounds": 3},
+    "truncated_normal.json": {"distribution": {"family": "truncated_normal", "mean": 5.0, "stddev": 1.5},
+                              "gamma": 0.2},
+}
+
+
+def run_list() -> list[tuple[str, list[str]]]:
+    """``(name, argv)`` pairs; a run named ``n`` writes into ``runs/n``."""
+    runs = []
+    for shape in ("-0.1", "0.01", "1"):
+        for gamma in ("0.1", "0.25", "0.4", "0.5"):
+            name = f"exante-pareto_{shape}_{gamma}"
+            runs.append((name, ["preset", "exante-pareto", "--shape", shape, "--gamma", gamma,
+                                "--outdir", f"runs/{name}"]))
+    runs.append(("exante-burr", ["preset", "exante-burr", "--outdir", "runs/exante-burr"]))
+    runs.append(("exante-burr_3_2_0.2", ["preset", "exante-burr", "--c", "3", "--k", "2", "--gamma", "0.2",
+                                         "--outdir", "runs/exante-burr_3_2_0.2"]))
+    for config in CONFIGS:
+        name = config.removesuffix(".json")
+        runs.append((name, ["solve", "--config", config, "--outdir", f"runs/{name}"]))
+    runs.append(("diagnose", ["diagnose", "--rule", "runs/exante-pareto_1_0.25/rule.csv",
+                              "--config", "blinded_2_2.json"]))
+    return runs
+
+
+def extract_src(rev: str, dest: Path) -> Path:
+    tar = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev, "src"],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def run_side(src: Path, workdir: Path) -> dict[str, dict]:
+    """Run every command with ``src`` on the path; returns what each left behind."""
+    workdir.mkdir(parents=True)
+    for name, config in CONFIGS.items():
+        (workdir / name).write_text(json.dumps(config))
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    results = {}
+    for name, argv in run_list():
+        proc = subprocess.run([sys.executable, "-m", "metaprice.cli", *argv], cwd=workdir, env=env,
+                              capture_output=True)
+        stdout = b"".join(line for line in proc.stdout.splitlines(keepends=True)
+                          if not line.startswith(b"runtime:"))
+        outdir = workdir / "runs" / name
+        files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())} if outdir.is_dir() else {}
+        results[name] = {"exit code": proc.returncode, "stdout": stdout, "stderr": proc.stderr,
+                         **{f"file {fname}": data for fname, data in files.items()}}
+        print(f"  {name}: exit {proc.returncode}", file=sys.stderr)
+    return results
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="artifact-identity-") as tmp:
+        tmp = Path(tmp)
+        print(f"working tree ({REPO / 'src'}):", file=sys.stderr)
+        ours = run_side(REPO / "src", tmp / "tree")
+        print(f"base {args.base}:", file=sys.stderr)
+        theirs = run_side(extract_src(args.base, tmp / "base"), tmp / "base-run")
+    diffs = []
+    for name in ours:
+        for key in sorted(set(ours[name]) | set(theirs[name])):
+            if ours[name].get(key) != theirs[name].get(key):
+                diffs.append(f"{name}: {key} differs")
+    for line in diffs:
+        print(line)
+    print(f"{len(diffs)} difference(s) over {len(ours)} runs against {args.base}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
