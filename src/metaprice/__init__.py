@@ -11,9 +11,9 @@ equilibrium rule and shade.
 from .grid import Grid, Tabulated, integrate, make_grid
 from .distributions import (DistributionSpec, burr_xii, cdf, fit_empirical, gpd, mean,
                             pdf, tabulate_pdf, truncated_normal, uniform)
-from .blinding import blind, posterior_table
-from .bidder import (Strategy, best_response_constant, best_response_functional,
-                     blinded_regret_DI, retained_integrand, shade_objective)
+from .blinding import blind, information, posterior_table
+from .bidder import (Strategy, best_response_constant, blinded_regret_DI, deviation_incentive,
+                     retained_integrand, shade_objective)
 from .center import (Budget, InfeasibleBudgetError, PaymentRule, constraint_weights,
                      k_vcg, payment_rule, ratio_diagnostics, solve_center)
 from .rules import ReferenceRule, RuleDiagnostics, calibrate, diagnose, realize
@@ -23,9 +23,9 @@ __all__ = [
     "Grid", "Tabulated", "integrate", "make_grid",
     "DistributionSpec", "gpd", "burr_xii", "truncated_normal", "uniform",
     "fit_empirical", "pdf", "cdf", "mean", "tabulate_pdf",
-    "blind", "posterior_table",
+    "blind", "posterior_table", "information",
     "Strategy", "retained_integrand", "shade_objective", "best_response_constant",
-    "best_response_functional", "blinded_regret_DI",
+    "blinded_regret_DI", "deviation_incentive",
     "Budget", "PaymentRule", "payment_rule", "InfeasibleBudgetError",
     "constraint_weights", "solve_center",
     "ratio_diagnostics", "k_vcg",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .blinding import blind, posterior_table
+from .blinding import information
 from .distributions import DistributionSpec, pdf
 from .grid import Grid, Tabulated
 
@@ -108,12 +108,9 @@ def _scan_shades(grid: Grid) -> np.ndarray:
 
 
 def _best_response_with_value(rule, belief: Tabulated, grid: Grid,
-                              scan: np.ndarray | None = None) -> tuple[float, float]:
-    """Best shade against ``belief`` and its expected retained regret.
-
-    ``scan`` is ``retained_integrand(_scan_shades(grid), rule, grid.samples)``;
-    a caller that responds to many beliefs under one rule builds it once.
-    """
+                              scan: np.ndarray) -> tuple[float, float]:
+    """Best shade against ``belief`` and its expected retained regret, given
+    the rule's scan matrix built once by :func:`_best_responses`."""
     xs = grid.samples
     weights = np.asarray(belief(xs), dtype=float) * grid.sample_width
 
@@ -121,8 +118,6 @@ def _best_response_with_value(rule, belief: Tabulated, grid: Grid,
         return float(retained_integrand(s, rule, xs) @ weights)
 
     cands = _scan_shades(grid)
-    if scan is None:
-        scan = retained_integrand(cands, rule, xs)
     vals = scan @ weights
 
     pool: list[tuple[float, float]] = [(float(cands[0]), float(vals[0])), (float(cands[-1]), float(vals[-1]))]
@@ -144,16 +139,6 @@ def _best_response_with_value(rule, belief: Tabulated, grid: Grid,
     return float(s_star), float(best_val)
 
 
-def best_response_constant(rule, belief: Tabulated, grid: Grid) -> float:
-    """Constant shade minimizing the expected retained regret.
-
-    Among near-equal minima (values within ``TIE_RTOL * (1 + |best|)`` of
-    the best value found, ``TIE_RTOL`` = 1e-4) the shade closest to zero is
-    returned; the whole procedure is deterministic.
-    """
-    return _best_response_with_value(rule, belief, grid)[0]
-
-
 def _best_responses(rule, beliefs: list[Tabulated], grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Best shade and its attained objective against each belief in turn."""
     # the integrand does not depend on the belief: one scan matrix serves every belief
@@ -165,10 +150,14 @@ def _best_responses(rule, beliefs: list[Tabulated], grid: Grid) -> tuple[np.ndar
     return shades, values
 
 
-def best_response_functional(rule, f: DistributionSpec, mu_sigma: float, grid: Grid) -> Strategy:
-    """Shade function: solve the constant problem against each signal's posterior."""
-    shades, _ = _best_responses(rule, posterior_table(f, mu_sigma, grid), grid)
-    return Strategy.functional(Tabulated(grid, shades, "strategy"))
+def best_response_constant(rule, belief: Tabulated, grid: Grid) -> float:
+    """Constant shade minimizing the expected retained regret.
+
+    Among near-equal minima (values within ``TIE_RTOL * (1 + |best|)`` of
+    the best value found, ``TIE_RTOL`` = 1e-4) the shade closest to zero is
+    returned; the whole procedure is deterministic.
+    """
+    return float(_best_responses(rule, [belief], grid)[0][0])
 
 
 def regret_at_truth(rule, f: DistributionSpec, grid: Grid) -> float:
@@ -178,16 +167,24 @@ def regret_at_truth(rule, f: DistributionSpec, grid: Grid) -> float:
                         np.full(xs.shape, grid.sample_width)))
 
 
-def blinded_regret_DI(rule, f: DistributionSpec, mu_sigma: float, grid: Grid) -> float:
-    """Deviation incentive under blinded information.
+def deviation_incentive(rule, truth: float, signal_density: Tabulated, beliefs: list[Tabulated],
+                        grid: Grid) -> float:
+    """Regret at truth minus the regret the bidder keeps by best responding.
 
-    Regret at truth minus the expected retained regret when the bidder best
-    responds per signal; nonnegative up to quadrature error.
+    ``truth`` is :func:`regret_at_truth`.  Each belief's best-response value
+    is weighed by the signal density, as :func:`~metaprice.blinding.information`
+    pairs them; one ex-ante value holds at every signal.  Nonnegative up to
+    quadrature error.
     """
-    g = blind(f, mu_sigma, grid)
-    _, values = _best_responses(rule, posterior_table(f, mu_sigma, grid), grid)
-    value_curve = Tabulated(grid, values, "rule")
+    _, values = _best_responses(rule, beliefs, grid)
+    value_curve = Tabulated(grid, np.broadcast_to(values, grid.bins), "rule")
     xs = grid.samples
-    retained = float(np.dot(np.asarray(g(xs), dtype=float) * np.asarray(value_curve(xs), dtype=float),
+    retained = float(np.dot(np.asarray(signal_density(xs), dtype=float)
+                            * np.asarray(value_curve(xs), dtype=float),
                             np.full(xs.shape, grid.sample_width)))
-    return regret_at_truth(rule, f, grid) - retained
+    return truth - retained
+
+
+def blinded_regret_DI(rule, f: DistributionSpec, mu_sigma: float, grid: Grid) -> float:
+    """Deviation incentive when the bidder answers each signal's posterior."""
+    return deviation_incentive(rule, regret_at_truth(rule, f, grid), *information(f, mu_sigma, grid), grid)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .distributions import DistributionSpec, pdf
+from .distributions import DistributionSpec, pdf, tabulate_pdf
 from .grid import Grid, Tabulated
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -69,3 +69,12 @@ def posterior_table(f: DistributionSpec, sigma: float, grid: Grid) -> list[Tabul
             raise ValueError(f"posterior at signal {grid.mids[b]} has zero mass")
         out.append(Tabulated(grid, raw_nodes / total, "density"))
     return out
+
+
+def information(f: DistributionSpec, mu_sigma: float | None, grid: Grid) -> tuple[Tabulated, list[Tabulated]]:
+    """The bidder's signal density and beliefs: the tabulated ``f`` and ``[f]``
+    ex ante (``mu_sigma`` None), else ``blind`` and ``posterior_table``."""
+    if mu_sigma is None:
+        ftab = tabulate_pdf(f, grid)
+        return ftab, [ftab]
+    return blind(f, mu_sigma, grid), posterior_table(f, mu_sigma, grid)

@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bidder import blinded_regret_DI, regret_at_truth, retained_integrand, shade_objective
+from .bidder import deviation_incentive, regret_at_truth, retained_integrand
 from .center import InfeasibleBudgetError, PaymentRule, collected, ratio_diagnostics
 from .distributions import (DistributionSpec, burr_xii, fit_empirical, gpd,
-                            read_samples, tabulate_pdf, truncated_normal, uniform)
+                            read_samples, truncated_normal, uniform)
 from .equilibrium import EquilibriumConfig, EquilibriumTrace, find_equilibrium, format_report
 from .grid import Grid, make_grid, read_tabulated_csv
 from .rules import diagnose
@@ -173,12 +173,7 @@ def write_artifacts(outdir: Path, trace: EquilibriumTrace, f: DistributionSpec, 
     _write_csv(outdir / "surface.csv", ["psi", "shade", "value"],
                zip(psi.ravel(), shade.ravel(), surface.ravel()))
 
-    if config.mode == "blinded":
-        di = blinded_regret_DI(rule, f, config.mu_sigma, grid)
-    else:
-        s_star = float(strategy.constant)
-        di = regret_at_truth(rule, f, grid) - shade_objective(s_star, rule, tabulate_pdf(f, grid), grid)
-
+    truth = regret_at_truth(rule, f, grid)
     summary = {key: value for key, value in asdict(config).items() if key != "outdir"}
     summary.update({
         "converged": trace.converged,
@@ -187,8 +182,8 @@ def write_artifacts(outdir: Path, trace: EquilibriumTrace, f: DistributionSpec, 
         "k": trace.budget.k,
         "shade": float(strategy.constant) if strategy.is_constant else None,
         "shade_nodes": [float(v) for v in shades],
-        "deviation_incentive": di,
-        "regret_at_truth": regret_at_truth(rule, f, grid),
+        "deviation_incentive": deviation_incentive(rule, truth, trace.signal_density, trace.beliefs, grid),
+        "regret_at_truth": truth,
         "collected": collected(rule, strategy, trace.constraint_density, grid),
     })
     with open(outdir / "summary.json", "w") as fh:
@@ -231,8 +226,7 @@ def run_diagnose(rule_path: str, config: ExperimentConfig) -> int:
         grid = rule_tab.grid
         rule = PaymentRule(rule_tab)
         f = build_distribution(config, grid)
-        mu_sigma = config.mu_sigma if config.mu_sigma is not None else 1000.0
-        report = diagnose(rule, f, mu_sigma, grid)
+        report = diagnose(rule, f, config.mu_sigma if config.mode == "blinded" else None, grid)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -16,9 +16,9 @@ from typing import Literal
 import numpy as np
 
 from .bidder import Strategy, _best_responses
-from .blinding import blind, posterior_table
+from .blinding import blind, information
 from .center import Budget, PaymentRule, payment_rule, solve_center
-from .distributions import DistributionSpec, tabulate_pdf
+from .distributions import DistributionSpec
 from .grid import Grid, Tabulated
 
 Mode = Literal["exante", "blinded"]
@@ -67,6 +67,8 @@ class EquilibriumTrace:
     config: EquilibriumConfig
     budget: Budget
     constraint_density: Tabulated
+    signal_density: Tabulated
+    beliefs: list[Tabulated]
     rounds: list[Round] = field(default_factory=list)
     converged: bool = False
     rule: PaymentRule | None = None
@@ -86,23 +88,19 @@ def find_equilibrium(f: DistributionSpec, config: EquilibriumConfig, grid: Grid)
     densities and the bidder answers each signal's posterior.
     """
     budget = Budget.from_gamma(config.gamma, f, grid)
-    ftab = tabulate_pdf(f, grid)
-    if config.mode == "exante":
-        objective_density = constraint_density = ftab
-        beliefs = [ftab]
-    else:
-        objective_density = blind(f, config.mu_sigma, grid)
-        constraint_density = blind(f, config.w_sigma, grid)
-        beliefs = posterior_table(f, config.mu_sigma, grid)
+    blinded = config.mode == "blinded"
+    signal_density, beliefs = information(f, config.mu_sigma if blinded else None, grid)
+    constraint_density = blind(f, config.w_sigma, grid) if blinded else signal_density
 
-    trace = EquilibriumTrace(config=config, budget=budget, constraint_density=constraint_density)
+    trace = EquilibriumTrace(config=config, budget=budget, constraint_density=constraint_density,
+                             signal_density=signal_density, beliefs=beliefs)
     alpha = config.alpha
     r_bar = np.zeros(grid.bins)
     s_bar = np.zeros(grid.bins)
 
     for _ in range(config.max_rounds):
         damped_strategy = Strategy.functional(Tabulated(grid, s_bar, "strategy"))
-        rule_t = solve_center(objective_density, constraint_density, damped_strategy, budget, grid)
+        rule_t = solve_center(signal_density, constraint_density, damped_strategy, budget, grid)
         s_t, _ = _best_responses(rule_t, beliefs, grid)
 
         r_next = (1.0 - alpha) * r_bar + alpha * rule_t.values
@@ -116,10 +114,8 @@ def find_equilibrium(f: DistributionSpec, config: EquilibriumConfig, grid: Grid)
             break
 
     trace.rule = payment_rule(grid, r_bar)
-    if config.mode == "exante":
-        trace.strategy = Strategy.const(s_bar[0])
-    else:
-        trace.strategy = Strategy.functional(Tabulated(grid, s_bar, "strategy"))
+    trace.strategy = (Strategy.functional(Tabulated(grid, s_bar, "strategy")) if blinded
+                      else Strategy.const(s_bar[0]))
     return trace
 
 

@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bidder import Strategy, best_response_constant, blinded_regret_DI, regret_at_truth, shade_objective
+from .bidder import Strategy, best_response_constant, deviation_incentive, regret_at_truth, shade_objective
+from .blinding import information
 from .center import Budget, InfeasibleBudgetError, PaymentRule, collected, constraint_weights, payment_rule
 from .distributions import DistributionSpec, tabulate_pdf
 from .grid import Grid
@@ -117,17 +118,19 @@ class RuleDiagnostics:
         return asdict(self)
 
 
-def diagnose(rule: PaymentRule, f: DistributionSpec, mu_sigma: float, grid: Grid) -> RuleDiagnostics:
+def diagnose(rule: PaymentRule, f: DistributionSpec, mu_sigma: float | None, grid: Grid) -> RuleDiagnostics:
     """Rule scorecard: regret measures, deviation incentive, collected budget.
 
-    The collected budget is taken at the bidder's constant best response.
+    The deviation incentive is blinded by ``mu_sigma`` (None: ex ante); the
+    collected budget is taken at the bidder's constant best response.
     """
     ftab = tabulate_pdf(f, grid)
     s_star = best_response_constant(rule, ftab, grid)
+    truth = regret_at_truth(rule, f, grid)
     return RuleDiagnostics(
-        regret_at_truth=regret_at_truth(rule, f, grid),
+        regret_at_truth=truth,
         worst_case_regret=float(rule.values.max()),
-        deviation_incentive=blinded_regret_DI(rule, f, mu_sigma, grid),
+        deviation_incentive=deviation_incentive(rule, truth, *information(f, mu_sigma, grid), grid),
         best_response_shade=s_star,
         retained_at_best_response=shade_objective(s_star, rule, ftab, grid),
         collected_at_truth=collected(rule, Strategy.const(0.0), ftab, grid),

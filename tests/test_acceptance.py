@@ -21,9 +21,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linprog
 
-from metaprice.bidder import (TIE_RTOL, Strategy, best_response_constant,
-                              best_response_functional, blinded_regret_DI,
-                              regret_at_truth, shade_objective)
+from metaprice.bidder import (TIE_RTOL, Strategy, _best_responses, best_response_constant,
+                              blinded_regret_DI, regret_at_truth, shade_objective)
+from metaprice.blinding import posterior_table
 from metaprice.center import (Budget, InfeasibleBudgetError, collected, constraint_weights,
                               k_vcg, payment_rule, ratio_diagnostics, solve_center,
                               _greedy_fill)
@@ -376,19 +376,19 @@ def test_criterion_07_blinding_limits():
     identity_rule = payment_rule(GRID, GRID.mids)
     details = []
 
-    wide = best_response_functional(identity_rule, F_PARETO, 1000.0, GRID).table.values
+    wide = _best_responses(identity_rule, posterior_table(F_PARETO, 1000.0, GRID), GRID)[0]
     flat = float(np.max(np.abs(wide - wide.mean())))
     ok = flat < GRID.width
     details.append(f"sigma=1000 max|s-mean|={flat:.3f}")
 
-    sharp = best_response_functional(identity_rule, F_PARETO, 0.05, GRID).table.values
+    sharp = _best_responses(identity_rule, posterior_table(F_PARETO, 0.05, GRID), GRID)[0]
     track = float(np.max(np.abs(sharp - GRID.mids)))
     ok = ok and track < GRID.width
     details.append(f"sigma=0.05 max|s-psi|={track:.3f}")
 
     gaps = []
     for sigma in (1000.0, 10.0, 5.0, 2.0):
-        s = best_response_functional(identity_rule, F_PARETO, sigma, GRID).table.values
+        s = _best_responses(identity_rule, posterior_table(F_PARETO, sigma, GRID), GRID)[0]
         gaps.append(float(np.mean(np.abs(s - GRID.mids))))
     monotone = all(a >= b - 1e-9 for a, b in zip(gaps, gaps[1:]))
     ok = ok and monotone

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from metaprice.bidder import (Strategy, _best_response_with_value, _best_responses,
-                              best_response_constant, best_response_functional,
+from metaprice.bidder import (Strategy, _best_responses, best_response_constant,
                               blinded_regret_DI, regret_at_truth, retained_integrand,
                               shade_objective)
 from metaprice.blinding import posterior_table
@@ -133,14 +132,14 @@ class TestBestResponseConstant:
 
 class TestBestResponseFunctional:
     def test_zero_rule_all_zero(self):
-        strat = best_response_functional(ZERO_RULE, F_PARETO, 5.0, GRID)
-        assert np.all(strat.table.values == 0.0)
+        shades = _best_responses(ZERO_RULE, posterior_table(F_PARETO, 5.0, GRID), GRID)[0]
+        assert np.all(shades == 0.0)
 
     def test_wide_blinding_collapses_to_ex_ante(self):
         rule = small_rule(6.1)
-        strat = best_response_functional(rule, F_PARETO, 1000.0, GRID)
+        shades = _best_responses(rule, posterior_table(F_PARETO, 1000.0, GRID), GRID)[0]
         s_exante = best_response_constant(rule, F_TAB, GRID)
-        assert np.max(np.abs(strat.table.values - s_exante)) < GRID.width
+        assert np.max(np.abs(shades - s_exante)) < GRID.width
 
     @pytest.mark.parametrize("rule", [ZERO_RULE, IDENTITY_RULE, small_rule(4.0)],
                              ids=["zero", "identity", "small"])
@@ -149,15 +148,14 @@ class TestBestResponseFunctional:
         # one scan matrix shared by every signal gives exactly the responses
         # each posterior gets on its own
         posts = posterior_table(F_PARETO, sigma, GRID)
-        alone = np.array([_best_response_with_value(rule, belief, GRID) for belief in posts])
+        alone = np.array([np.concatenate(_best_responses(rule, [belief], GRID)) for belief in posts])
         shades, values = _best_responses(rule, posts, GRID)
-        assert np.all(best_response_functional(rule, F_PARETO, sigma, GRID).table.values == alone[:, 0])
         assert np.all(shades == alone[:, 0])
         assert np.all(values == alone[:, 1])
 
     def test_sharp_blinding_bids_critical_value(self):
-        strat = best_response_functional(IDENTITY_RULE, F_PARETO, 0.05, GRID)
-        assert np.max(np.abs(strat.table.values - GRID.mids)) < GRID.width
+        shades = _best_responses(IDENTITY_RULE, posterior_table(F_PARETO, 0.05, GRID), GRID)[0]
+        assert np.max(np.abs(shades - GRID.mids)) < GRID.width
 
 
 class TestDeviationIncentive:

@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from metaprice.bidder import Strategy
+from metaprice import blinding
+from metaprice.bidder import Strategy, _best_responses
 from metaprice.blinding import blind
 from metaprice.center import collected, payment_rule
 from metaprice.cli import ExperimentConfig, list_presets, main, preset_config
@@ -156,6 +158,60 @@ def test_blinded_collected_weighs_the_center_blinded_density(tmp_path):
     assert summary["collected"] == under_h
     for other in (tabulate_pdf(f, grid), blind(f, 2.0, grid)):
         assert collected(rule, strategy, other, grid) != pytest.approx(under_h, rel=1e-3)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls to ``module.name`` made from any metaprice module."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("metaprice") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_artifact_writing_rebuilds_no_information(monkeypatch, tmp_path):
+    # the solve builds the bidder's posteriors and both blinded densities
+    # once; scoring the written rule reuses them
+    posteriors = count_calls(monkeypatch, blinding, "posterior_table")
+    blinded = count_calls(monkeypatch, blinding, "blind")
+    config = write_config(tmp_path, mode="blinded", mu_sigma=2.0, w_sigma=5.0,
+                          max_rounds=2, bins=20, subsamples=50)
+    assert main(["solve", "--config", str(config)]) in (0, 3)
+    assert len(posteriors) == 1
+    assert [args[1] for args in blinded] == [2.0, 5.0]
+
+
+def test_exante_deviation_incentive_is_the_best_response_reading(tmp_path):
+    # ex ante, as blinded, the bidder keeps the value of its best response to
+    # the reported rule, not the retained regret at the damped shade
+    config = write_config(tmp_path, gamma=0.1)
+    assert main(["solve", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    summary = json.loads((out / "summary.json").read_text())
+    grid = make_grid(0, 10, 50, 200)
+    rule = payment_rule(grid, np.loadtxt(out / "rule.csv", delimiter=",", skiprows=1)[:, 1])
+    _, values = _best_responses(rule, [tabulate_pdf(gpd(0, 1, 1.0, 0, 10), grid)], grid)
+    expected = summary["regret_at_truth"] - values[0]
+    assert summary["deviation_incentive"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("overrides", [{"gamma": 0.25},
+                                       {"mode": "blinded", "mu_sigma": 2.0, "w_sigma": 2.0, "max_rounds": 3}],
+                         ids=["exante", "blinded"])
+def test_diagnose_reports_the_summary_deviation_incentive(tmp_path, capsys, overrides):
+    config = write_config(tmp_path, **overrides)
+    assert main(["solve", "--config", str(config)]) in (0, 3)
+    capsys.readouterr()  # drain the solve report
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert main(["diagnose", "--rule", str(tmp_path / "out" / "rule.csv"), "--config", str(config)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["deviation_incentive"] == pytest.approx(summary["deviation_incentive"], rel=1e-9, abs=0.0)
 
 
 def test_preset_config_resolution():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from metaprice import bidder, blinding, equilibrium
+from metaprice import blinding
 from metaprice.bidder import Strategy, best_response_constant, shade_objective
 from metaprice.center import collected, solve_center
 from metaprice.distributions import gpd, tabulate_pdf
@@ -85,13 +85,13 @@ def test_exante_round_shade_is_the_constant_best_response():
 def test_blinded_solve_builds_posteriors_once(monkeypatch):
     # neither f nor mu_sigma changes within a solve, so neither do the posteriors
     calls = []
+    original = blinding.posterior_table
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return blinding.posterior_table(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    for module in (bidder, equilibrium):
-        monkeypatch.setattr(module, "posterior_table", counting)
+    monkeypatch.setattr(blinding, "posterior_table", counting)
     cfg = EquilibriumConfig(mode="blinded", gamma=0.25, mu_sigma=2.0, w_sigma=2.0, max_rounds=3)
     trace = find_equilibrium(F_PARETO, cfg, SMALL)
     assert trace.n_rounds == 3

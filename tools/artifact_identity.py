@@ -5,7 +5,10 @@ Runs one list of ``metaprice`` CLI commands twice, each command in its own
 ``src/`` and once with ``src/`` as committed at ``--base`` (extracted with
 ``git archive``).  Every artifact file, exit code, stdout and stderr is
 compared byte for byte, with stdout's ``runtime:`` line (wall time) left out.
-Prints each difference and exits 1 if there is one, 0 otherwise.
+Prints each difference and exits 1 if there is one, 0 otherwise.  A
+differing ``summary.json`` is shown key by key with the base value, the
+working tree's value and their relative difference; differing stdout is
+shown line by line.
 
     python tools/artifact_identity.py [--base REV]
 
@@ -20,6 +23,7 @@ Standard library only; the file name keeps it out of pytest.
 from __future__ import annotations
 
 import argparse
+import difflib
 import io
 import json
 import os
@@ -86,6 +90,40 @@ def run_side(src: Path, workdir: Path) -> dict[str, dict]:
     return results
 
 
+def relative(old, new) -> str:
+    """Size of a change: the relative difference, or for equal-length number
+    lists how many entries moved and the largest relative difference."""
+    def rel(a, b):
+        return abs(b - a) / abs(a) if a else float("inf")
+
+    def is_number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if is_number(old) and is_number(new):
+        return f"relative difference {rel(old, new):.3g}"
+    if (isinstance(old, list) and isinstance(new, list) and len(old) == len(new)
+            and all(map(is_number, old + new))):
+        moved = [rel(a, b) for a, b in zip(old, new) if a != b]
+        return f"{len(moved)} of {len(old)} entries differ, largest relative difference {max(moved):.3g}"
+    return "not numbers"
+
+
+def detail(key: str, old: bytes | int | None, new: bytes | int | None) -> list[str]:
+    """Lines that show what differs: summary keys with sizes, stdout lines."""
+    if old is None or new is None:
+        return [f"present only {'in the working tree' if old is None else 'at the base'}"]
+    if key == "file summary.json":
+        old, new = json.loads(old), json.loads(new)
+        return [f"{k}: {old.get(k)!r} -> {new.get(k)!r} ({relative(old.get(k), new.get(k))})"
+                for k in sorted(set(old) | set(new)) if old.get(k) != new.get(k)]
+    if key in ("stdout", "stderr"):
+        return [line for line in difflib.ndiff(old.decode().splitlines(), new.decode().splitlines())
+                if line[:2] in ("- ", "+ ")]
+    if key == "exit code":
+        return [f"{old} -> {new}"]
+    return []
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
@@ -96,14 +134,16 @@ def main(argv=None) -> int:
         ours = run_side(REPO / "src", tmp / "tree")
         print(f"base {args.base}:", file=sys.stderr)
         theirs = run_side(extract_src(args.base, tmp / "base"), tmp / "base-run")
-    diffs = []
+    diffs = 0
     for name in ours:
         for key in sorted(set(ours[name]) | set(theirs[name])):
-            if ours[name].get(key) != theirs[name].get(key):
-                diffs.append(f"{name}: {key} differs")
-    for line in diffs:
-        print(line)
-    print(f"{len(diffs)} difference(s) over {len(ours)} runs against {args.base}")
+            new, old = ours[name].get(key), theirs[name].get(key)
+            if new != old:
+                diffs += 1
+                print(f"{name}: {key} differs")
+                for line in detail(key, old, new):
+                    print(f"    {line}")
+    print(f"{diffs} difference(s) over {len(ours)} runs against {args.base}")
     return 1 if diffs else 0
 
 
