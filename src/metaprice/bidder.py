@@ -55,10 +55,6 @@ class Strategy:
     def functional(cls, table: Tabulated) -> "Strategy":
         return cls(table=table)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.constant is not None
-
     def shade_at(self, psi) -> np.ndarray:
         arr = np.asarray(psi, dtype=float)
         if self.constant is not None:
@@ -69,17 +65,16 @@ class Strategy:
 def retained_integrand(s, rule, xs: np.ndarray) -> np.ndarray:
     """Retained regret ``I[x < s] x + I[x >= s] r(x - s)`` at ``xs``, one row per shade.
 
-    ``xs`` must be ascending, as ``grid.samples`` and ``grid.mids`` are: a
-    scalar shade evaluates the rule only on the winning tail ``xs >= s``.
+    ``xs`` must be ascending, as ``grid.samples`` and ``grid.mids`` are: the
+    rule is evaluated only on the winning tail ``xs >= s``.
     """
-    if np.ndim(s) == 0:
-        s = float(s)
-        out = np.array(xs, dtype=float)
-        i0 = int(np.searchsorted(out, s))
-        out[i0:] = rule(out[i0:] - s)
-        return out
-    s = np.asarray(s, dtype=float)[..., None]
-    return np.where(xs < s, xs, np.asarray(rule(xs - s), dtype=float))
+    if np.ndim(s) > 0:
+        return np.array([retained_integrand(v, rule, xs) for v in np.asarray(s, dtype=float)])
+    s = float(s)
+    out = np.array(xs, dtype=float)
+    i0 = int(np.searchsorted(out, s))
+    out[i0:] = rule(out[i0:] - s)
+    return out
 
 
 def shade_objective(s, rule, belief: Tabulated, grid: Grid):
@@ -177,10 +172,10 @@ def deviation_incentive(rule, truth: float, signal_density: Tabulated, beliefs: 
     quadrature error.
     """
     _, values = _best_responses(rule, beliefs, grid)
-    value_curve = Tabulated(grid, np.broadcast_to(values, grid.bins), "rule")
     xs = grid.samples
-    retained = float(np.dot(np.asarray(signal_density(xs), dtype=float)
-                            * np.asarray(value_curve(xs), dtype=float),
+    # each signal node's value, interpolated between nodes and clamped at the ends
+    value_curve = np.interp(xs, grid.mids, np.broadcast_to(values, grid.bins))
+    retained = float(np.dot(np.asarray(signal_density(xs), dtype=float) * value_curve,
                             np.full(xs.shape, grid.sample_width)))
     return truth - retained
 

@@ -122,11 +122,11 @@ def constraint_weights(strategy: Strategy, constraint_density: Tabulated, grid: 
     return w
 
 
-def _greedy_fill(c: np.ndarray, w: np.ndarray, ub: np.ndarray, k: float, tie_break: str = "low") -> np.ndarray:
+def _greedy_fill(c: np.ndarray, w: np.ndarray, ub: np.ndarray, k: float) -> np.ndarray:
     """Exact solution of ``min c.r`` s.t. ``w.r >= k``, ``0 <= r <= ub``.
 
-    Bins are filled in descending ``w/c`` (zero-cost collecting bins first),
-    ties by bin index (``tie_break`` picks which end).  The last bin is set
+    Bins are filled in descending ``w/c`` (zero-cost collecting bins first);
+    tied ratios fill from the lowest bin index.  The last bin is set
     fractionally so the constraint binds with equality.
     """
     r = np.zeros_like(ub)
@@ -140,13 +140,7 @@ def _greedy_fill(c: np.ndarray, w: np.ndarray, ub: np.ndarray, k: float, tie_bre
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(w > 0.0, np.where(c > 0.0, w / c, np.inf), 0.0)
-    idx = np.arange(len(ub))
-    if tie_break == "low":
-        order = np.lexsort((idx, -ratio))
-    elif tie_break == "high":
-        order = np.lexsort((-idx, -ratio))
-    else:
-        raise ValueError(f"unknown tie_break {tie_break!r}")
+    order = np.lexsort((np.arange(len(ub)), -ratio))
 
     remaining = k
     for b in order:
@@ -161,8 +155,7 @@ def _greedy_fill(c: np.ndarray, w: np.ndarray, ub: np.ndarray, k: float, tie_bre
 
 
 def solve_center(objective_density: Tabulated, constraint_density: Tabulated,
-                 strategy: Strategy, budget: Budget, grid: Grid,
-                 tie_break: str = "low") -> PaymentRule:
+                 strategy: Strategy, budget: Budget, grid: Grid) -> PaymentRule:
     """Payment rule minimizing expected regret at truth subject to the budget.
 
     Raises :class:`InfeasibleBudgetError` when ``k`` exceeds the maximum
@@ -170,7 +163,7 @@ def solve_center(objective_density: Tabulated, constraint_density: Tabulated,
     """
     c = objective_density.bin_masses()
     w = constraint_weights(strategy, constraint_density, grid)
-    r = _greedy_fill(c, w, grid.mids, budget.k, tie_break)
+    r = _greedy_fill(c, w, grid.mids, budget.k)
     return payment_rule(grid, r)
 
 

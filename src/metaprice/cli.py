@@ -24,6 +24,9 @@ from .equilibrium import EquilibriumConfig, EquilibriumTrace, find_equilibrium, 
 from .grid import Grid, make_grid, read_tabulated_csv
 from .rules import diagnose
 
+# what a malformed or unreadable config raises; JSONDecodeError is a ValueError
+CONFIG_ERRORS = (ValueError, TypeError, OSError)
+
 
 @dataclass
 class ExperimentConfig:
@@ -180,7 +183,7 @@ def write_artifacts(outdir: Path, trace: EquilibriumTrace, f: DistributionSpec, 
         "rounds": trace.n_rounds,
         "k_vcg": trace.budget.k_vcg,
         "k": trace.budget.k,
-        "shade": float(strategy.constant) if strategy.is_constant else None,
+        "shade": strategy.constant,
         "shade_nodes": [float(v) for v in shades],
         "deviation_incentive": deviation_incentive(rule, truth, trace.signal_density, trace.beliefs, grid),
         "regret_at_truth": truth,
@@ -199,7 +202,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         f = build_distribution(config, grid)
         eq_config = EquilibriumConfig(**{fld.name: getattr(config, fld.name)
                                          for fld in fields(EquilibriumConfig)})
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
@@ -227,7 +230,7 @@ def run_diagnose(rule_path: str, config: ExperimentConfig) -> int:
         rule = PaymentRule(rule_tab)
         f = build_distribution(config, grid)
         report = diagnose(rule, f, config.mu_sigma if config.mode == "blinded" else None, grid)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(report.as_dict(), sort_keys=True, indent=2))
@@ -278,7 +281,7 @@ def main(argv=None) -> int:
         return run_experiment(config)
     try:
         config = ExperimentConfig.from_json(args.config)
-    except (ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     if args.command == "diagnose":

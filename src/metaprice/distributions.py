@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr
 
-from .grid import Grid, integrate
+from .grid import Grid, Tabulated, integrate
 
 _XI_EXPONENTIAL = 1e-8
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -58,14 +58,9 @@ class GeneralizedPareto:
             with np.errstate(over="ignore"):
                 out = -np.expm1(-np.maximum(z, 0.0))
             return out
-        t = 1.0 + self.shape * np.maximum(z, 0.0)
-        if self.shape < 0.0:
-            # support ends at z = -1/shape; beyond it the cdf saturates at 1
-            t = np.maximum(t, 0.0)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = 1.0 - np.power(t, -1.0 / self.shape)
-            return np.where(z >= 0.0, out, 0.0)
-        with np.errstate(over="ignore"):
+        # shape < 0: the support ends at z = -1/shape, where t clamps to 0 and the cdf to 1
+        t = np.maximum(1.0 + self.shape * np.maximum(z, 0.0), 0.0)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             out = 1.0 - np.power(t, -1.0 / self.shape)
         return np.where(z >= 0.0, out, 0.0)
 
@@ -267,10 +262,8 @@ def read_samples(path: str | Path) -> list[float]:
     return out
 
 
-def tabulate_pdf(spec: DistributionSpec, grid: Grid):
+def tabulate_pdf(spec: DistributionSpec, grid: Grid) -> Tabulated:
     """Tabulate the pdf at the grid nodes, renormalized to unit mass."""
-    from .grid import Tabulated
-
     vals = pdf(spec, grid.mids)
     tab = Tabulated(grid, np.asarray(vals, dtype=float), "density")
     return tab.normalized()

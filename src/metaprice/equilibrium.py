@@ -135,7 +135,7 @@ def format_report(trace: EquilibriumTrace, extras: dict | None = None) -> str:
     ]
     for i, rnd in enumerate(trace.rounds, 1):
         lines.append(f"{i:5d}  {rnd.r_delta:<12.6g}  {rnd.s_delta:<12.6g}")
-    if trace.strategy is not None and trace.strategy.is_constant:
+    if trace.strategy is not None and trace.strategy.constant is not None:
         lines.append(f"final shade: {trace.strategy.constant:.6g}")
     for key, value in (extras or {}).items():
         lines.append(f"{key}: {value:.6g}" if isinstance(value, float) else f"{key}: {value}")

@@ -77,29 +77,9 @@ def make_grid(lower: float, upper: float, bins: int, subsamples: int) -> Grid:
     return Grid(float(lower), float(upper), int(bins), int(subsamples))
 
 
-def integrate(fn: Callable, grid: Grid, lo: float | None = None, hi: float | None = None) -> float:
-    """Midpoint-rule quadrature of a vectorized ``fn`` over ``[lo, hi]``.
-
-    Uses the grid's fixed sample points; sub-intervals that straddle ``lo``
-    or ``hi`` contribute in proportion to their overlap.  ``[lo, hi]`` must
-    lie inside the grid.
-    """
-    lo = grid.lower if lo is None else float(lo)
-    hi = grid.upper if hi is None else float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("integration bounds must be finite")
-    if lo > hi:
-        raise ValueError(f"integration bounds inverted: [{lo}, {hi}]")
-    slack = 1e-12 * (grid.upper - grid.lower)
-    if lo < grid.lower - slack or hi > grid.upper + slack:
-        raise ValueError(f"[{lo}, {hi}] is not contained in the grid range")
-    x = grid.samples
-    cuts = grid.sample_edges
-    overlap = np.clip(np.minimum(cuts[1:], hi) - np.maximum(cuts[:-1], lo), 0.0, None)
-    live = overlap > 0.0
-    if not live.any():
-        return 0.0
-    return float(np.dot(np.asarray(fn(x[live]), dtype=float), overlap[live]))
+def integrate(fn: Callable, grid: Grid) -> float:
+    """Midpoint-rule quadrature of a vectorized ``fn`` over the whole grid range."""
+    return float(np.dot(np.asarray(fn(grid.samples), dtype=float), np.diff(grid.sample_edges)))
 
 
 @dataclass(frozen=True)
@@ -153,17 +133,9 @@ class Tabulated:
         return Tabulated(self.grid, self.values / total, self.kind)
 
 
-def write_tabulated_csv(tab: Tabulated, path: str | Path, value_column: str = "value") -> None:
-    """CSV serialization: header ``psi,<value_column>``, one row per node."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["psi", value_column])
-        for psi, val in zip(tab.grid.mids, tab.values):
-            writer.writerow([repr(float(psi)), repr(float(val))])
-
-
 def read_tabulated_csv(path: str | Path, kind: Kind, subsamples: int = 200) -> Tabulated:
-    """Read a node table written by :func:`write_tabulated_csv`.
+    """Read a node table: header ``psi,<value>``, then one ``psi,value`` row
+    per node, as the CLI writes ``rule.csv``.
 
     The uniform grid is reconstructed from the psi column (node spacing must
     be uniform).
@@ -173,7 +145,11 @@ def read_tabulated_csv(path: str | Path, kind: Kind, subsamples: int = 200) -> T
         header = next(reader, None)
         if header is None or len(header) < 2 or header[0] != "psi":
             raise ValueError(f"{path}: expected header 'psi,<value>'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
+        rows = []
+        for row in filter(None, reader):
+            if len(row) < 2:
+                raise ValueError(f"{path}:{reader.line_num}: expected 'psi,value', got {row!r}")
+            rows.append((float(row[0]), float(row[1])))
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least two nodes")
     psi = np.array([r[0] for r in rows])

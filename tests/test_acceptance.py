@@ -364,8 +364,10 @@ def test_criterion_06_exponential_degeneracy():
     budget = Budget.from_gamma(0.25, f, GRID)
     ftab = tabulate_pdf(f, GRID)
     masses = ftab.bin_masses()
-    obj_low = float(np.dot(masses, solve_center(ftab, ftab, strat, budget, GRID, tie_break="low").values))
-    obj_high = float(np.dot(masses, solve_center(ftab, ftab, strat, budget, GRID, tie_break="high").values))
+    obj_low = float(np.dot(masses, solve_center(ftab, ftab, strat, budget, GRID).values))
+    # the opposite tie order: fill the reversed bins, lowest index first
+    w = constraint_weights(strat, ftab, GRID)
+    obj_high = float(np.dot(masses, _greedy_fill(masses[::-1], w[::-1], GRID.mids[::-1], budget.k)[::-1]))
     gap = abs(obj_low - obj_high)
     report(6, "exponential degeneracy", spread < 1e-3 and gap < 1e-6,
            f"ratio spread {spread:.2e}; tie-order objective gap {gap:.2e}")

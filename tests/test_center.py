@@ -147,6 +147,20 @@ class TestSolveCenter:
         with pytest.raises(InfeasibleBudgetError, match="shortfall"):
             solve_center(stab, stab, Strategy.const(4.0), budget, GRID)
 
+    def test_tied_ratios_fill_from_the_lowest_bin(self):
+        # uniform f at zero shade: w == c exactly, so every fill ratio is 1.0
+        f = uniform(0, 10)
+        ftab = tabulate_pdf(f, GRID)
+        zero = Strategy.const(0.0)
+        assert np.array_equal(constraint_weights(zero, ftab, GRID), ftab.bin_masses())
+        budget = Budget.from_gamma(0.3, f, GRID)
+        vals = solve_center(ftab, ftab, zero, budget, GRID).values
+        j = int(np.searchsorted(np.cumsum(ftab.bin_masses() * GRID.mids), budget.k))
+        assert 0 < j < GRID.bins - 1
+        assert np.array_equal(vals[:j], GRID.mids[:j])
+        assert 0.0 < vals[j] < GRID.mids[j]
+        assert np.all(vals[j + 1:] == 0.0)
+
     def test_envelope_respected_exactly(self):
         rng = np.random.RandomState(3)
         for _ in range(20):
@@ -212,10 +226,12 @@ class TestRatioMethod:
         assert spread < 1e-4
         budget = Budget.from_gamma(0.2, f, GRID)
         ftab = tabulate_pdf(f, GRID)
-        low = solve_center(ftab, ftab, s, budget, GRID, tie_break="low")
-        high = solve_center(ftab, ftab, s, budget, GRID, tie_break="high")
-        obj_low = float(np.dot(ftab.bin_masses(), low.values))
-        obj_high = float(np.dot(ftab.bin_masses(), high.values))
+        low = solve_center(ftab, ftab, s, budget, GRID)
+        # the opposite tie order: fill the reversed bins, lowest index first
+        c, w = ftab.bin_masses(), constraint_weights(s, ftab, GRID)
+        high = _greedy_fill(c[::-1], w[::-1], GRID.mids[::-1], budget.k)[::-1]
+        obj_low = float(np.dot(c, low.values))
+        obj_high = float(np.dot(c, high))
         assert abs(obj_low - obj_high) < 1e-6
 
 

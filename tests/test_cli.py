@@ -118,6 +118,11 @@ def test_config_error_exits_one(tmp_path, capsys):
     unknown_key = tmp_path / "unknown.json"
     unknown_key.write_text(json.dumps({"no_such_key": 1}))
     assert main(["solve", "--config", str(unknown_key)]) == 1
+    capsys.readouterr()
+    # null values pass the key check and fail where they are used
+    for null in ({"bins": None}, {"gamma": None}, {"distribution": {"family": "gpd", "shape": None}}):
+        assert main(["solve", "--config", str(write_config(tmp_path, **null))]) == 1, null
+        assert "config error" in capsys.readouterr().err, null
 
 
 def test_infeasible_budget_exits_two(tmp_path, capsys):

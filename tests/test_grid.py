@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from metaprice.grid import (Tabulated, integrate, make_grid,
-                            read_tabulated_csv, write_tabulated_csv)
+from metaprice.cli import _write_csv
+from metaprice.grid import Tabulated, integrate, make_grid, read_tabulated_csv
 from metaprice.distributions import gpd, pdf
 
 
@@ -51,20 +51,6 @@ def test_integrate_truncated_gpd_mass():
     grid = make_grid(0, 10, 50, 200)
     f = gpd(0, 1, 1.0, 0, 10)
     assert integrate(lambda x: pdf(f, x), grid) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_integrate_partial_range():
-    grid = make_grid(0, 10, 50, 200)
-    # ∫_1^4 x dx = 7.5; bounds do not align with sub-sample boundaries
-    assert integrate(lambda x: x, grid, 1.03, 4.01) == pytest.approx((4.01**2 - 1.03**2) / 2, abs=1e-4)
-
-
-def test_integrate_rejects_outside_grid():
-    grid = make_grid(0, 10, 10, 10)
-    with pytest.raises(ValueError):
-        integrate(lambda x: x, grid, -1.0, 5.0)
-    with pytest.raises(ValueError):
-        integrate(lambda x: x, grid, 5.0, 1.0)
 
 
 def test_interp_midpoint_of_segment():
@@ -132,9 +118,23 @@ def test_csv_round_trip(tmp_path):
     grid = make_grid(0, 10, 50, 20)
     tab = Tabulated(grid, np.sqrt(grid.mids), "rule")
     path = tmp_path / "rule.csv"
-    write_tabulated_csv(tab, path)
+    _write_csv(path, ["psi", "value"], zip(grid.mids, tab.values))
     assert open(path).readline().strip() == "psi,value"
     back = read_tabulated_csv(path, kind="rule", subsamples=20)
     assert np.allclose(back.values, tab.values)
     assert back.grid.lower == pytest.approx(grid.lower)
     assert back.grid.upper == pytest.approx(grid.upper)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("psi,value\n0.1,1.0\n0.3\n0.5,1.0\n", ":3: expected 'psi,value'"),
+    ("x,value\n0.1,1.0\n0.3,1.0\n", "expected header"),
+    ("psi,value\n0.1,1.0\n", "at least two nodes"),
+    ("psi,value\n0.1,1.0\n0.3,1.0\n0.6,1.0\n", "not uniformly spaced"),
+], ids=["short_row", "bad_header", "one_node", "uneven_spacing"])
+def test_read_tabulated_csv_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "rule.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message) as info:
+        read_tabulated_csv(path, kind="rule")
+    assert str(path) in str(info.value)

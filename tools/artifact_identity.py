@@ -16,7 +16,8 @@ The run list: ``preset exante-pareto`` at shapes -0.1, 0.01 and 1 and gamma
 0.1, 0.25, 0.4 and 0.5; ``preset exante-burr`` with its defaults and with
 ``--c 3 --k 2 --gamma 0.2``; blinded ``solve`` at mu/w sigma 2/2 and 1000/5
 with 3 rounds; an ex-ante truncated normal (mean 5, sd 1.5) at gamma 0.2;
-and ``diagnose`` of the shape-1, gamma-0.25 rule under the sigma-2 config.
+and ``diagnose`` of the shape-1, gamma-0.25 rule under the sigma-2 config
+and under the default (ex-ante) config.
 Standard library only; the file name keeps it out of pytest.
 """
 
@@ -41,6 +42,8 @@ CONFIGS = {
     "truncated_normal.json": {"distribution": {"family": "truncated_normal", "mean": 5.0, "stddev": 1.5},
                               "gamma": 0.2},
 }
+# configs read only by ``diagnose``
+DIAGNOSE_CONFIGS = {"exante.json": {}}
 
 
 def run_list() -> list[tuple[str, list[str]]]:
@@ -57,8 +60,8 @@ def run_list() -> list[tuple[str, list[str]]]:
     for config in CONFIGS:
         name = config.removesuffix(".json")
         runs.append((name, ["solve", "--config", config, "--outdir", f"runs/{name}"]))
-    runs.append(("diagnose", ["diagnose", "--rule", "runs/exante-pareto_1_0.25/rule.csv",
-                              "--config", "blinded_2_2.json"]))
+    for name, config in (("diagnose", "blinded_2_2.json"), ("diagnose-exante", "exante.json")):
+        runs.append((name, ["diagnose", "--rule", "runs/exante-pareto_1_0.25/rule.csv", "--config", config]))
     return runs
 
 
@@ -73,7 +76,7 @@ def extract_src(rev: str, dest: Path) -> Path:
 def run_side(src: Path, workdir: Path) -> dict[str, dict]:
     """Run every command with ``src`` on the path; returns what each left behind."""
     workdir.mkdir(parents=True)
-    for name, config in CONFIGS.items():
+    for name, config in {**CONFIGS, **DIAGNOSE_CONFIGS}.items():
         (workdir / name).write_text(json.dumps(config))
     env = {**os.environ, "PYTHONPATH": str(src)}
     results = {}
