@@ -65,16 +65,27 @@ class Strategy:
 def retained_integrand(s, rule, xs: np.ndarray) -> np.ndarray:
     """Retained regret ``I[x < s] x + I[x >= s] r(x - s)`` at ``xs``, one row per shade.
 
-    ``xs`` must be ascending, as ``grid.samples`` and ``grid.mids`` are: the
-    rule is evaluated only on the winning tail ``xs >= s``.
+    ``xs`` must be ascending, as ``grid.samples`` and ``grid.mids`` are.  The
+    rule is interpolated only on the winning tail ``xs >= s`` and there only
+    inside ``rule.support``; outside it the tail is zero-filled, which is the
+    value interpolation between or past zero nodes returns.  All rows fill
+    one preallocated matrix.
     """
-    if np.ndim(s) > 0:
-        return np.array([retained_integrand(v, rule, xs) for v in np.asarray(s, dtype=float)])
-    s = float(s)
-    out = np.array(xs, dtype=float)
-    i0 = int(np.searchsorted(out, s))
-    out[i0:] = rule(out[i0:] - s)
-    return out
+    xs = np.asarray(xs, dtype=float)
+    shades = np.asarray(s, dtype=float).reshape(-1)
+    out = np.empty((shades.size, xs.size))
+    lo, hi = rule.support
+    for row, v in zip(out, shades):
+        i0 = int(np.searchsorted(xs, v))
+        # bound the window on the computed tail so the comparisons are exact
+        tail = xs[i0:] - v
+        a = int(np.searchsorted(tail, lo, "right"))
+        b = int(np.searchsorted(tail, hi, "left"))
+        row[:i0] = xs[:i0]
+        row[i0:i0 + a] = 0.0
+        row[i0 + a:i0 + b] = rule(tail[a:b])
+        row[i0 + b:] = 0.0
+    return out if np.ndim(s) > 0 else out[0]
 
 
 def shade_objective(s, rule, belief: Tabulated, grid: Grid):

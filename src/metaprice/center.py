@@ -15,7 +15,9 @@ strictly between its bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +85,22 @@ class PaymentRule:
     @property
     def values(self) -> np.ndarray:
         return self.tab.values
+
+    @cached_property
+    def support(self) -> tuple[float, float]:
+        """``(lo, hi)``: the nodes just outside the outermost nonzero nodes.
+
+        The rule is exactly zero at and beyond both: at ``x <= lo`` and at
+        ``x >= hi``.  A bound is infinite where a nonzero node is an end node;
+        the zero rule gives ``(inf, inf)``.
+        """
+        nonzero = np.flatnonzero(self.values)
+        if nonzero.size == 0:
+            return math.inf, math.inf
+        mids, first, last = self.grid.mids, nonzero[0], nonzero[-1]
+        lo = float(mids[first - 1]) if first > 0 else -math.inf
+        hi = float(mids[last + 1]) if last + 1 < len(mids) else math.inf
+        return lo, hi
 
 
 def payment_rule(grid: Grid, values) -> PaymentRule:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -42,6 +43,11 @@ class Grid:
             raise ValueError("grid bounds must be finite")
         if not self.lower < self.upper:
             raise ValueError(f"grid bounds inverted or empty: [{self.lower}, {self.upper}]")
+        for name in ("bins", "subsamples"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()):
+                raise ValueError(f"grid {name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.bins < 2:
             raise ValueError("grid needs at least 2 bins")
         if self.subsamples < 1:
@@ -73,8 +79,8 @@ class Grid:
 
 
 def make_grid(lower: float, upper: float, bins: int, subsamples: int) -> Grid:
-    """Build a grid; rejects non-finite or inverted bounds."""
-    return Grid(float(lower), float(upper), int(bins), int(subsamples))
+    """Build a grid; rejects non-finite or inverted bounds and counts that are not whole numbers."""
+    return Grid(float(lower), float(upper), bins, subsamples)
 
 
 def integrate(fn: Callable, grid: Grid) -> float:

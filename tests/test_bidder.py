@@ -1,15 +1,19 @@
 """Bidder objective, constant/functional best responses, deviation incentive."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from metaprice.bidder import (Strategy, _best_responses, best_response_constant,
+from metaprice.bidder import (Strategy, _best_responses, _scan_shades, best_response_constant,
                               blinded_regret_DI, regret_at_truth, retained_integrand,
                               shade_objective)
 from metaprice.blinding import posterior_table
 from metaprice.center import payment_rule
 from metaprice.distributions import gpd, pdf, tabulate_pdf, uniform
 from metaprice.grid import Tabulated, make_grid
+from metaprice.rules import realize
 
 GRID = make_grid(0, 10, 50, 200)
 F_PARETO = gpd(0, 1, 1.0, 0, 10)
@@ -22,6 +26,24 @@ IDENTITY_RULE = payment_rule(GRID, GRID.mids)
 
 def small_rule(cutoff):
     return payment_rule(GRID, np.where(GRID.mids >= cutoff, GRID.mids, 0.0))
+
+
+def spike(node):
+    return payment_rule(GRID, np.where(np.arange(GRID.bins) == node, GRID.mids, 0.0))
+
+
+# rules whose zero nodes bound the evaluation window in every way (on no
+# side, on one, on both, everywhere), each with the support it must report
+MIDS, INF = GRID.mids, math.inf
+WINDOW_RULES = {
+    "small": (small_rule(3.0), (MIDS[14], INF)),
+    "zero": (ZERO_RULE, (INF, INF)),
+    "identity": (IDENTITY_RULE, (-INF, INF)),
+    "first_node": (spike(0), (-INF, MIDS[1])),
+    "last_node": (spike(GRID.bins - 1), (MIDS[-2], INF)),
+    "interior_spike": (spike(23), (MIDS[22], MIDS[24])),
+    "large": (realize("large", 4.3, GRID).realized, (-INF, MIDS[22])),
+}
 
 
 class TestStrategy:
@@ -89,14 +111,43 @@ class TestShadeObjective:
 
     @pytest.mark.parametrize("xs", [GRID.samples, GRID.mids], ids=["samples", "mids"])
     def test_scalar_tail_equals_masked_form_bit_for_bit(self, xs):
-        # a scalar shade evaluates the rule on the winning tail only; the row
-        # must equal the whole-axis masked form exactly, also at shades on a
-        # sample point, on a node, between samples, at and above the range end
-        rule = small_rule(3.0)
+        # the rule is evaluated on the winning tail only, and there only
+        # inside its support; for every window rule each row must equal the
+        # whole-axis masked form bit for bit, for scalar and array shades
+        # alike, also at shades on a sample point, on a node, between
+        # samples, below, at and above the range
         between = GRID.samples[4000] + 0.25 * GRID.sample_width
-        for s in (0.0, GRID.samples[1234], GRID.mids[17], between, GRID.upper, GRID.upper + 1.0):
-            masked = np.where(xs < s, xs, np.asarray(rule(xs - s), dtype=float))
-            assert np.array_equal(retained_integrand(s, rule, xs), masked), s
+        shades = np.array([0.0, GRID.samples[1234], GRID.mids[17], GRID.mids[22], between,
+                           -1.0, GRID.upper, GRID.upper + 1.0])
+        for name, (rule, _) in WINDOW_RULES.items():
+            rows = retained_integrand(shades, rule, xs)
+            for s, row in zip(shades, rows):
+                masked = np.where(xs < s, xs, np.asarray(rule(xs - s), dtype=float)).tobytes()
+                assert retained_integrand(float(s), rule, xs).tobytes() == masked, (name, s)
+                assert row.tobytes() == masked, (name, s)
+
+    @pytest.mark.parametrize("name", list(WINDOW_RULES))
+    def test_support_names_the_zero_nodes_around_the_nonzero_ones(self, name):
+        rule, support = WINDOW_RULES[name]
+        assert rule.support == support
+        lo, hi = support
+        # the rule is exactly zero at and beyond both bounds, nodes included
+        probes = np.concatenate((GRID.mids, GRID.samples, GRID.edges, [-1.0, GRID.upper + 1.0]))
+        outside = probes[(probes <= lo) | (probes >= hi)]
+        assert np.all(rule(outside) == 0.0)
+
+    def test_scan_matrix_is_built_in_place(self):
+        # the scan matrix is the only large allocation: no per-row copies
+        # stacked into a second matrix
+        rule, shades = small_rule(3.0), _scan_shades(GRID)
+        retained_integrand(shades, rule, GRID.samples)
+        tracemalloc.start()
+        try:
+            scan = retained_integrand(shades, rule, GRID.samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * scan.nbytes
 
 
 class TestBestResponseConstant:

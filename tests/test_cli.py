@@ -119,10 +119,12 @@ def test_config_error_exits_one(tmp_path, capsys):
     unknown_key.write_text(json.dumps({"no_such_key": 1}))
     assert main(["solve", "--config", str(unknown_key)]) == 1
     capsys.readouterr()
-    # null values pass the key check and fail where they are used
-    for null in ({"bins": None}, {"gamma": None}, {"distribution": {"family": "gpd", "shape": None}}):
-        assert main(["solve", "--config", str(write_config(tmp_path, **null))]) == 1, null
-        assert "config error" in capsys.readouterr().err, null
+    # null values and grid counts that are not whole numbers pass the key
+    # check and fail where they are used, instead of being truncated or parsed
+    for bad_value in ({"bins": None}, {"gamma": None}, {"distribution": {"family": "gpd", "shape": None}},
+                      {"bins": 50.9}, {"subsamples": 200.5}, {"bins": "50"}):
+        assert main(["solve", "--config", str(write_config(tmp_path, **bad_value))]) == 1, bad_value
+        assert "config error" in capsys.readouterr().err, bad_value
 
 
 def test_infeasible_budget_exits_two(tmp_path, capsys):

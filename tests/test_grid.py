@@ -14,6 +14,9 @@ def test_default_grid_geometry():
     assert grid.mids[0] == pytest.approx(0.1)
     assert grid.edges[-1] == pytest.approx(10.0)
     assert len(grid.samples) == 50 * 200
+    # whole-number floats give the same grid, with integer counts
+    assert make_grid(0, 10, 50.0, 200.0) == grid
+    assert type(make_grid(0, 10, 50.0, 200.0).bins) is int
 
 
 def test_tiny_grid_geometry():
@@ -33,6 +36,10 @@ def test_grid_rejects_bad_bounds():
         make_grid(0.0, 1.0, 1, 10)
     with pytest.raises(ValueError):
         make_grid(0.0, 1.0, 10, 0)
+    # counts that are not whole numbers are rejected, not truncated or parsed
+    for bins, subsamples in ((50.9, 200), (50, 200.5), (float("nan"), 200), (50, float("inf")), ("50", 200)):
+        with pytest.raises(ValueError):
+            make_grid(0.0, 10.0, bins, subsamples)
 
 
 def test_integrate_constant_exact():

@@ -1,10 +1,17 @@
 """Check that a change leaves every CLI artifact byte-identical.
 
 Runs one list of ``metaprice`` CLI commands twice, each command in its own
-``python -m metaprice.cli`` subprocess: once with the working tree's
-``src/`` and once with ``src/`` as committed at ``--base`` (extracted with
-``git archive``).  Every artifact file, exit code, stdout and stderr is
-compared byte for byte, with stdout's ``runtime:`` line (wall time) left out.
+subprocess: once with the working tree's ``src/`` and once with ``src/`` as
+committed at ``--base`` (extracted with ``git archive``).  The subprocess
+runs ``metaprice.cli.main`` through a small script that also records every
+equilibrium solve the command makes: each solve that returns adds
+``rounds.json`` to its run's directory, with every round's rule nodes,
+shades, ``r_delta`` and ``s_delta`` and the final rule and shade nodes, as
+``repr`` floats.  So a change that moves any iterate shows, even when the
+written artifacts round it away.  A solve that raises (an infeasible budget)
+records nothing; its exit code and stderr are compared as usual.  Every
+artifact file, exit code, stdout and stderr is compared byte for byte, with
+stdout's ``runtime:`` line (wall time) left out.
 Prints each difference and exits 1 if there is one, 0 otherwise.  A
 differing ``summary.json`` is shown key by key with the base value, the
 working tree's value and their relative difference; differing stdout is
@@ -45,6 +52,33 @@ CONFIGS = {
 # configs read only by ``diagnose``
 DIAGNOSE_CONFIGS = {"exante.json": {}}
 
+# ``python -c RECORDER ROUNDS_JSON ARGV...``: runs the CLI and writes each
+# returned solve's rounds to ROUNDS_JSON
+RECORDER = """
+import json, sys
+from pathlib import Path
+from metaprice import cli
+
+rounds_path, argv = Path(sys.argv[1]), sys.argv[2:]
+solve, traces = cli.find_equilibrium, []
+
+def recording(*args, **kwargs):
+    traces.append(solve(*args, **kwargs))
+    return traces[-1]
+
+cli.find_equilibrium = recording
+code = cli.main(argv)
+if traces:
+    rounds_path.parent.mkdir(parents=True, exist_ok=True)
+    rounds_path.write_text(json.dumps([{
+        "rounds": [{"rule": r.rule.values.tolist(), "shades": r.shades.tolist(),
+                    "r_delta": r.r_delta, "s_delta": r.s_delta} for r in t.rounds],
+        "rule": t.rule.values.tolist(),
+        "shades": t.strategy.shade_at(t.rule.grid.mids).tolist(),
+    } for t in traces], indent=1) + "\\n")
+sys.exit(code)
+"""
+
 
 def run_list() -> list[tuple[str, list[str]]]:
     """``(name, argv)`` pairs; a run named ``n`` writes into ``runs/n``."""
@@ -81,8 +115,8 @@ def run_side(src: Path, workdir: Path) -> dict[str, dict]:
     env = {**os.environ, "PYTHONPATH": str(src)}
     results = {}
     for name, argv in run_list():
-        proc = subprocess.run([sys.executable, "-m", "metaprice.cli", *argv], cwd=workdir, env=env,
-                              capture_output=True)
+        proc = subprocess.run([sys.executable, "-c", RECORDER, f"runs/{name}/rounds.json", *argv],
+                              cwd=workdir, env=env, capture_output=True)
         stdout = b"".join(line for line in proc.stdout.splitlines(keepends=True)
                           if not line.startswith(b"runtime:"))
         outdir = workdir / "runs" / name
