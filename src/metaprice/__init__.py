@@ -12,8 +12,8 @@ from .grid import Grid, Tabulated, integrate, make_grid
 from .distributions import (DistributionSpec, burr_xii, cdf, fit_empirical, gpd, mean,
                             pdf, tabulate_pdf, truncated_normal, uniform)
 from .blinding import blind, information, posterior_table
-from .bidder import (Strategy, best_response_constant, blinded_regret_DI, deviation_incentive,
-                     retained_integrand, shade_objective)
+from .bidder import (Strategy, best_response_constant, deviation_incentive, retained_integrand,
+                     shade_objective)
 from .center import (Budget, InfeasibleBudgetError, PaymentRule, constraint_weights,
                      k_vcg, payment_rule, ratio_diagnostics, solve_center)
 from .rules import ReferenceRule, RuleDiagnostics, calibrate, diagnose, realize
@@ -25,7 +25,7 @@ __all__ = [
     "fit_empirical", "pdf", "cdf", "mean", "tabulate_pdf",
     "blind", "posterior_table", "information",
     "Strategy", "retained_integrand", "shade_objective", "best_response_constant",
-    "blinded_regret_DI", "deviation_incentive",
+    "deviation_incentive",
     "Budget", "PaymentRule", "payment_rule", "InfeasibleBudgetError",
     "constraint_weights", "solve_center",
     "ratio_diagnostics", "k_vcg",

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .blinding import information
 from .distributions import DistributionSpec, pdf
 from .grid import Grid, Tabulated
 
@@ -190,7 +189,3 @@ def deviation_incentive(rule, truth: float, signal_density: Tabulated, beliefs: 
                             np.full(xs.shape, grid.sample_width)))
     return truth - retained
 
-
-def blinded_regret_DI(rule, f: DistributionSpec, mu_sigma: float, grid: Grid) -> float:
-    """Deviation incentive when the bidder answers each signal's posterior."""
-    return deviation_incentive(rule, regret_at_truth(rule, f, grid), *information(f, mu_sigma, grid), grid)

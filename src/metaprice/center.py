@@ -16,14 +16,14 @@ strictly between its bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .bidder import Strategy
 from .distributions import DistributionSpec, cdf, mean
-from .grid import Grid, Tabulated
+from .grid import Grid, Kind, Tabulated
 
 
 class InfeasibleBudgetError(RuntimeError):
@@ -58,33 +58,19 @@ class Budget:
 
 
 @dataclass(frozen=True)
-class PaymentRule:
-    """Payment above the critical value, tabulated per bin midpoint.
+class PaymentRule(Tabulated):
+    """Payment above the critical value: a ``"rule"`` node table.
 
     Node values satisfy ``0 <= r_b <= mid_b`` exactly; the final payment a
     winner faces is its critical value plus ``r`` at the reported excess.
     """
 
-    tab: Tabulated
+    kind: Kind = field(default="rule", init=False)
 
     def __post_init__(self) -> None:
-        if self.tab.kind != "rule":
-            raise ValueError("payment rule must use a 'rule' tabulation")
-        mids = self.tab.grid.mids
-        vals = self.tab.values
-        if np.any(vals < 0.0) or np.any(vals > mids):
+        super().__post_init__()
+        if np.any(self.values < 0.0) or np.any(self.values > self.grid.mids):
             raise ValueError("payment rule must satisfy 0 <= r(psi) <= psi at every node")
-
-    def __call__(self, x):
-        return self.tab(x)
-
-    @property
-    def grid(self) -> Grid:
-        return self.tab.grid
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.tab.values
 
     @cached_property
     def support(self) -> tuple[float, float]:
@@ -104,9 +90,8 @@ class PaymentRule:
 
 
 def payment_rule(grid: Grid, values) -> PaymentRule:
-    """Clamp tiny numerical excursions and wrap as a PaymentRule."""
-    vals = np.clip(np.asarray(values, dtype=float), 0.0, grid.mids)
-    return PaymentRule(Tabulated(grid, vals, "rule"))
+    """Clamp tiny numerical excursions into the envelope and build the rule."""
+    return PaymentRule(grid, np.clip(np.asarray(values, dtype=float), 0.0, grid.mids))
 
 
 def constraint_weights(strategy: Strategy, constraint_density: Tabulated, grid: Grid) -> np.ndarray:

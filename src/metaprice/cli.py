@@ -21,7 +21,7 @@ from .center import InfeasibleBudgetError, PaymentRule, collected, ratio_diagnos
 from .distributions import (DistributionSpec, burr_xii, fit_empirical, gpd,
                             read_samples, truncated_normal, uniform)
 from .equilibrium import EquilibriumConfig, EquilibriumTrace, find_equilibrium, format_report
-from .grid import Grid, make_grid, read_tabulated_csv
+from .grid import Grid, make_grid
 from .rules import diagnose
 
 # what a malformed or unreadable config raises; JSONDecodeError is a ValueError
@@ -50,6 +50,8 @@ class ExperimentConfig:
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -62,23 +64,32 @@ def build_grid(config: ExperimentConfig) -> Grid:
 
 
 def build_distribution(config: ExperimentConfig, grid: Grid) -> DistributionSpec:
+    """The configured distribution on the grid's window; rejects keys its family does not take."""
     spec = dict(config.distribution)
     family = spec.pop("family", None)
     lo, hi = grid.lower, grid.upper
     if family == "gpd":
-        return gpd(spec.pop("location", 0.0), spec.pop("scale", 1.0), spec.pop("shape", 0.0), lo, hi)
-    if family == "burr":
-        return burr_xii(spec.pop("c", 2.0), spec.pop("k", 1.0), lo, hi, scale=spec.pop("scale", 1.0))
-    if family == "truncated_normal":
-        return truncated_normal(spec.pop("mean", 5.0), spec.pop("stddev", 1.0), lo, hi)
-    if family == "uniform":
-        return uniform(lo, hi)
-    if family == "empirical":
+        f = gpd(spec.pop("location", 0.0), spec.pop("scale", 1.0), spec.pop("shape", 0.0), lo, hi)
+    elif family == "burr":
+        f = burr_xii(spec.pop("c", 2.0), spec.pop("k", 1.0), lo, hi, scale=spec.pop("scale", 1.0))
+    elif family == "truncated_normal":
+        f = truncated_normal(spec.pop("mean", 5.0), spec.pop("stddev", 1.0), lo, hi)
+    elif family == "uniform":
+        f = uniform(lo, hi)
+    elif family == "empirical":
         path = spec.pop("path", None)
         if path is None:
             raise ValueError("empirical distribution needs a 'path' to a sample file")
-        return fit_empirical(read_samples(path), grid)
-    raise ValueError(f"unknown distribution family {family!r}")
+        samples = read_samples(path)
+        f = fit_empirical(samples, grid)
+        if f.family.dropped:
+            print(f"warning: dropped {f.family.dropped} of {len(samples)} samples outside [{lo:g}, {hi:g}]",
+                  file=sys.stderr)
+    else:
+        raise ValueError(f"unknown distribution family {family!r}")
+    if spec:
+        raise ValueError(f"unknown keys for distribution family {family!r}: {sorted(spec)}")
+    return f
 
 
 PRESETS: dict[str, dict] = {
@@ -86,25 +97,25 @@ PRESETS: dict[str, dict] = {
         "description": "ex-ante equilibrium, generalized Pareto profits (vary --shape)",
         "config": {"mode": "exante",
                    "distribution": {"family": "gpd", "location": 0.0, "scale": 1.0, "shape": 1.0}},
-        "flags": {"shape": ("distribution.shape", float), "gamma": ("gamma", float)},
+        "flags": {"shape": "distribution.shape", "gamma": "gamma"},
     },
     "exante-gamma": {
         "description": "ex-ante equilibrium, Pareto shape 1, budget-fraction sweep (vary --gamma)",
         "config": {"mode": "exante",
                    "distribution": {"family": "gpd", "location": 0.0, "scale": 1.0, "shape": 1.0}},
-        "flags": {"gamma": ("gamma", float), "shape": ("distribution.shape", float)},
+        "flags": {"gamma": "gamma", "shape": "distribution.shape"},
     },
     "exante-burr": {
         "description": "ex-ante equilibrium, Burr XII profits (vary --c/--k; interior-band rule)",
         "config": {"mode": "exante",
                    "distribution": {"family": "burr", "c": 2.0, "k": 1.0, "scale": 1.0}},
-        "flags": {"c": ("distribution.c", float), "k": ("distribution.k", float), "gamma": ("gamma", float)},
+        "flags": {"c": "distribution.c", "k": "distribution.k", "gamma": "gamma"},
     },
     "blinded-pareto": {
         "description": "blinded equilibrium, Pareto shape 1, normal blinding (vary --sigma)",
         "config": {"mode": "blinded", "mu_sigma": 5.0, "w_sigma": 5.0,
                    "distribution": {"family": "gpd", "location": 0.0, "scale": 1.0, "shape": 1.0}},
-        "flags": {"sigma": ("mu_sigma+w_sigma", float), "w-sigma": ("w_sigma", float), "gamma": ("gamma", float)},
+        "flags": {"sigma": "mu_sigma+w_sigma", "w-sigma": "w_sigma", "gamma": "gamma"},
     },
 }
 
@@ -122,8 +133,8 @@ def preset_config(name: str, overrides: dict) -> ExperimentConfig:
     for flag, raw in overrides.items():
         if flag not in flags:
             raise ValueError(f"preset {name!r} does not take --{flag}")
-        target, cast = flags[flag]
-        value = cast(raw)
+        target = flags[flag]
+        value = float(raw)
         if target == "mu_sigma+w_sigma":
             config.mu_sigma = value
             if "w-sigma" not in overrides:
@@ -154,6 +165,35 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(v)) for v in row])
+
+
+def read_rule_csv(path: str | Path, subsamples: int = 200) -> PaymentRule:
+    """Read a rule as :func:`write_artifacts` writes ``rule.csv``: header
+    ``psi,<value>``, then one ``psi,value`` row per node.
+
+    The uniform grid is reconstructed from the psi column (node spacing must
+    be uniform).
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or len(header) < 2 or header[0] != "psi":
+            raise ValueError(f"{path}: expected header 'psi,<value>'")
+        rows = []
+        for row in filter(None, reader):
+            if len(row) < 2:
+                raise ValueError(f"{path}:{reader.line_num}: expected 'psi,value', got {row!r}")
+            rows.append((float(row[0]), float(row[1])))
+    if len(rows) < 2:
+        raise ValueError(f"{path}: need at least two nodes")
+    psi = np.array([r[0] for r in rows])
+    vals = np.array([r[1] for r in rows])
+    steps = np.diff(psi)
+    width = steps[0]
+    if width <= 0 or not np.allclose(steps, width, rtol=1e-9, atol=1e-12):
+        raise ValueError(f"{path}: psi nodes are not uniformly spaced")
+    grid = Grid(float(psi[0] - width / 2), float(psi[-1] + width / 2), len(psi), subsamples)
+    return PaymentRule(grid, vals)
 
 
 def write_artifacts(outdir: Path, trace: EquilibriumTrace, f: DistributionSpec, grid: Grid,
@@ -215,19 +255,17 @@ def run_experiment(config: ExperimentConfig) -> int:
     elapsed = time.perf_counter() - started
 
     summary = write_artifacts(Path(config.outdir), trace, f, grid, config)
-    print(format_report(trace, extras={
-        "deviation incentive": summary["deviation_incentive"],
-        "collected budget": summary["collected"],
-    }))
+    print(format_report(trace))
+    print(f"deviation incentive: {summary['deviation_incentive']:.6g}")
+    print(f"collected budget: {summary['collected']:.6g}")
     print(f"runtime: {elapsed:.2f}s; artifacts in {config.outdir}")
     return 0 if trace.converged else 3
 
 
 def run_diagnose(rule_path: str, config: ExperimentConfig) -> int:
     try:
-        rule_tab = read_tabulated_csv(rule_path, kind="rule", subsamples=config.subsamples)
-        grid = rule_tab.grid
-        rule = PaymentRule(rule_tab)
+        rule = read_rule_csv(rule_path, subsamples=config.subsamples)
+        grid = rule.grid
         f = build_distribution(config, grid)
         report = diagnose(rule, f, config.mu_sigma if config.mode == "blinded" else None, grid)
     except CONFIG_ERRORS as exc:

@@ -19,7 +19,7 @@ from .bidder import Strategy, _best_responses
 from .blinding import blind, information
 from .center import Budget, PaymentRule, payment_rule, solve_center
 from .distributions import DistributionSpec
-from .grid import Grid, Tabulated
+from .grid import Grid, Tabulated, whole_number
 
 Mode = Literal["exante", "blinded"]
 
@@ -41,6 +41,7 @@ class EquilibriumConfig:
             raise ValueError("gamma must lie in [0, 1]")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("damping alpha must lie in (0, 1]")
+        object.__setattr__(self, "max_rounds", whole_number("max_rounds", self.max_rounds))
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if not self.tolerance > 0.0:
@@ -119,12 +120,8 @@ def find_equilibrium(f: DistributionSpec, config: EquilibriumConfig, grid: Grid)
     return trace
 
 
-def format_report(trace: EquilibriumTrace, extras: dict | None = None) -> str:
-    """Human-readable convergence report for a finished trace.
-
-    ``extras`` appends caller-computed summary scalars (final deviation
-    incentive, collected budget) as ``key: value`` lines.
-    """
+def format_report(trace: EquilibriumTrace) -> str:
+    """Human-readable convergence report for a finished trace."""
     cfg = trace.config
     lines = [
         f"mode: {cfg.mode}",
@@ -137,6 +134,4 @@ def format_report(trace: EquilibriumTrace, extras: dict | None = None) -> str:
         lines.append(f"{i:5d}  {rnd.r_delta:<12.6g}  {rnd.s_delta:<12.6g}")
     if trace.strategy is not None and trace.strategy.constant is not None:
         lines.append(f"final shade: {trace.strategy.constant:.6g}")
-    for key, value in (extras or {}).items():
-        lines.append(f"{key}: {value:.6g}" if isinstance(value, float) else f"{key}: {value}")
     return "\n".join(lines)

@@ -9,12 +9,10 @@ bin.  Integration is a deterministic midpoint rule over the fixed
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Callable, Literal
 
 import numpy as np
@@ -22,6 +20,13 @@ import numpy as np
 Kind = Literal["density", "rule", "strategy"]
 
 _KINDS = ("density", "rule", "strategy")
+
+
+def whole_number(name: str, value) -> int:
+    """``value`` as an ``int``; a float passes only if it is a whole number."""
+    if not (isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -44,10 +49,7 @@ class Grid:
         if not self.lower < self.upper:
             raise ValueError(f"grid bounds inverted or empty: [{self.lower}, {self.upper}]")
         for name in ("bins", "subsamples"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()):
-                raise ValueError(f"grid {name} must be a whole number, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, whole_number(f"grid {name}", getattr(self, name)))
         if self.bins < 2:
             raise ValueError("grid needs at least 2 bins")
         if self.subsamples < 1:
@@ -137,32 +139,3 @@ class Tabulated:
         if total <= 0.0:
             raise ValueError("cannot normalize a zero-mass tabulation")
         return Tabulated(self.grid, self.values / total, self.kind)
-
-
-def read_tabulated_csv(path: str | Path, kind: Kind, subsamples: int = 200) -> Tabulated:
-    """Read a node table: header ``psi,<value>``, then one ``psi,value`` row
-    per node, as the CLI writes ``rule.csv``.
-
-    The uniform grid is reconstructed from the psi column (node spacing must
-    be uniform).
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2 or header[0] != "psi":
-            raise ValueError(f"{path}: expected header 'psi,<value>'")
-        rows = []
-        for row in filter(None, reader):
-            if len(row) < 2:
-                raise ValueError(f"{path}:{reader.line_num}: expected 'psi,value', got {row!r}")
-            rows.append((float(row[0]), float(row[1])))
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least two nodes")
-    psi = np.array([r[0] for r in rows])
-    vals = np.array([r[1] for r in rows])
-    steps = np.diff(psi)
-    width = steps[0]
-    if width <= 0 or not np.allclose(steps, width, rtol=1e-9, atol=1e-12):
-        raise ValueError(f"{path}: psi nodes are not uniformly spaced")
-    grid = Grid(float(psi[0] - width / 2), float(psi[-1] + width / 2), len(psi), subsamples)
-    return Tabulated(grid, vals, kind)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from metaprice.bidder import (TIE_RTOL, Strategy, _best_responses, best_response_constant,
-                              blinded_regret_DI, regret_at_truth, shade_objective)
+                              regret_at_truth, shade_objective)
 from metaprice.blinding import posterior_table
 from metaprice.center import (Budget, InfeasibleBudgetError, collected, constraint_weights,
                               k_vcg, payment_rule, ratio_diagnostics, solve_center,
@@ -33,6 +33,7 @@ from metaprice.equilibrium import EquilibriumConfig, find_equilibrium
 from metaprice.grid import Tabulated, make_grid
 from metaprice.rules import calibrate
 
+from test_bidder import blinded_regret_di
 from test_center import knapsack_oracle
 
 GRID = make_grid(0, 10, 50, 200)
@@ -451,7 +452,7 @@ def test_criterion_09_vcg_fixed_point():
     shade = trace.strategy.constant
     ftab = tabulate_pdf(F_PARETO, GRID)
     di_exante = regret_at_truth(rule, F_PARETO, GRID) - shade_objective(shade, rule, ftab, GRID)
-    di_blinded = blinded_regret_DI(rule, F_PARETO, 5.0, GRID)
+    di_blinded = blinded_regret_di(rule, F_PARETO, 5.0, GRID)
     ok = (trace.converged and trace.n_rounds == 1
           and np.all(rule.values == 0.0) and shade == 0.0
           and di_exante == 0.0 and di_blinded == 0.0)
@@ -482,10 +483,10 @@ def acceptance_scalar_battery(subsamples):
     # relative metric; at wider blinding the incentive shrinks to a small
     # difference of near-equal terms and only its components stay reportable
     for sigma in (2.0, 5.0):
-        scalars[f"di_small_{sigma:g}"] = blinded_regret_DI(small, f, sigma, grid)
+        scalars[f"di_small_{sigma:g}"] = blinded_regret_di(small, f, sigma, grid)
     for sigma in (2.0, 5.0, 10.0):
         scalars[f"retained_small_{sigma:g}"] = (regret_at_truth(small, f, grid)
-                                                - blinded_regret_DI(small, f, sigma, grid))
+                                                - blinded_regret_di(small, f, sigma, grid))
 
     trace = find_equilibrium(f, EquilibriumConfig(mode="exante", gamma=0.25), grid)
     shade = trace.strategy.constant
@@ -510,7 +511,7 @@ def test_criterion_10_di_nonnegative_and_quadrature_stable():
     min_di = np.inf
     for name, (rule, dist) in rules.items():
         for sigma in (2.0, 5.0, 10.0, 1000.0):
-            min_di = min(min_di, blinded_regret_DI(rule, dist, sigma, GRID))
+            min_di = min(min_di, blinded_regret_di(rule, dist, sigma, GRID))
     ok_nonneg = min_di >= -1e-6
 
     base = acceptance_scalar_battery(200)

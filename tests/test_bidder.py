@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from metaprice.bidder import (Strategy, _best_responses, _scan_shades, best_response_constant,
-                              blinded_regret_DI, regret_at_truth, retained_integrand,
+                              deviation_incentive, regret_at_truth, retained_integrand,
                               shade_objective)
-from metaprice.blinding import posterior_table
+from metaprice.blinding import information, posterior_table
 from metaprice.center import payment_rule
 from metaprice.distributions import gpd, pdf, tabulate_pdf, uniform
 from metaprice.grid import Tabulated, make_grid
@@ -22,6 +22,11 @@ UNIFORM_TAB = tabulate_pdf(uniform(0, 10), GRID)
 
 ZERO_RULE = payment_rule(GRID, np.zeros(50))
 IDENTITY_RULE = payment_rule(GRID, GRID.mids)
+
+
+def blinded_regret_di(rule, f, mu_sigma, grid):
+    """Deviation incentive when the bidder answers each signal's posterior."""
+    return deviation_incentive(rule, regret_at_truth(rule, f, grid), *information(f, mu_sigma, grid), grid)
 
 
 def small_rule(cutoff):
@@ -211,7 +216,7 @@ class TestBestResponseFunctional:
 
 class TestDeviationIncentive:
     def test_zero_rule_zero_incentive(self):
-        assert blinded_regret_DI(ZERO_RULE, F_PARETO, 5.0, GRID) == pytest.approx(0.0, abs=1e-9)
+        assert blinded_regret_di(ZERO_RULE, F_PARETO, 5.0, GRID) == pytest.approx(0.0, abs=1e-9)
 
     def test_identity_rule_sharp_blinding_recovers_most_of_k_vcg(self):
         # independent oracle: both deviation-incentive terms by dense-grid
@@ -248,17 +253,17 @@ class TestDeviationIncentive:
         truth = float(np.dot(xs * fvals, np.full(xs.shape, w)))
         oracle_di = truth - retained
 
-        di = blinded_regret_DI(IDENTITY_RULE, F_PARETO, sigma, GRID)
+        di = blinded_regret_di(IDENTITY_RULE, F_PARETO, sigma, GRID)
         assert di > 0.8 * kv
         assert abs(di - oracle_di) < 0.1 * kv
 
     @pytest.mark.parametrize("sigma", [2.0, 5.0, 10.0, 1000.0])
     def test_nonnegative(self, sigma):
         rule = small_rule(4.0)
-        assert blinded_regret_DI(rule, F_PARETO, sigma, GRID) >= -1e-6
+        assert blinded_regret_di(rule, F_PARETO, sigma, GRID) >= -1e-6
 
     def test_weakly_decreasing_in_sigma(self):
-        dis = [blinded_regret_DI(IDENTITY_RULE, F_PARETO, s, GRID) for s in (2.0, 5.0, 10.0, 1000.0)]
+        dis = [blinded_regret_di(IDENTITY_RULE, F_PARETO, s, GRID) for s in (2.0, 5.0, 10.0, 1000.0)]
         assert all(a >= b - 1e-6 for a, b in zip(dis, dis[1:]))
 
 

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from metaprice.bidder import Strategy
-from metaprice.center import (Budget, InfeasibleBudgetError, collected, constraint_weights,
+from metaprice.bidder import Strategy, retained_integrand
+from metaprice.center import (Budget, InfeasibleBudgetError, PaymentRule, collected, constraint_weights,
                               k_vcg, payment_rule, ratio_diagnostics, solve_center)
 from metaprice.center import _greedy_fill
+from metaprice.cli import _write_csv, read_rule_csv
 from metaprice.distributions import burr_xii, fit_empirical, gpd, tabulate_pdf, uniform
 from metaprice.grid import Tabulated, make_grid
+from metaprice.rules import realize
 
 GRID = make_grid(0, 10, 50, 200)
 F_PARETO = gpd(0, 1, 1.0, 0, 10)
@@ -38,6 +40,57 @@ def knapsack_oracle(c, w, ub, k):
             if -1e-12 <= frac <= ub[j] + 1e-12:
                 best = min(best, cost + c[j] * min(max(frac, 0.0), ub[j]))
     return best
+
+
+class TestPaymentRuleIsANodeTable:
+    @pytest.mark.parametrize("source", ["payment_rule", "realize", "csv"])
+    def test_every_source_gives_a_rule_tabulation(self, tmp_path, source):
+        if source == "payment_rule":
+            rule = payment_rule(GRID, 0.5 * GRID.mids)
+        elif source == "realize":
+            rule = realize("small", 4.3, GRID).realized
+        else:
+            path = tmp_path / "rule.csv"
+            _write_csv(path, ["psi", "payment_above_critical"], zip(GRID.mids, 0.5 * GRID.mids))
+            rule = read_rule_csv(path)
+            assert np.array_equal(rule.values, 0.5 * GRID.mids)
+        assert isinstance(rule, PaymentRule) and isinstance(rule, Tabulated)
+        assert rule.kind == "rule"
+        assert rule(GRID.mids[7]) == rule.values[7]
+
+    def test_envelope_and_tabulation_checks_raise(self, tmp_path):
+        for vals in (-np.eye(50)[3], GRID.mids + np.eye(50)[3]):
+            with pytest.raises(ValueError, match="0 <= r"):
+                PaymentRule(GRID, vals)
+        path = tmp_path / "rule.csv"
+        path.write_text("psi,value\n0.1,0.0\n0.3,0.5\n")
+        with pytest.raises(ValueError, match="0 <= r"):
+            read_rule_csv(path)
+        for vals in (np.zeros(49), np.full(50, np.nan)):
+            with pytest.raises(ValueError):
+                PaymentRule(GRID, vals)
+
+    def test_kind_is_fixed_to_rule(self):
+        with pytest.raises(TypeError):
+            PaymentRule(GRID, GRID.mids, "density")
+        with pytest.raises(ValueError, match="strategy"):
+            Strategy.functional(payment_rule(GRID, GRID.mids))
+
+    def test_one_evaluation_is_one_tabulated_call(self, monkeypatch):
+        calls = []
+        evaluate = Tabulated.__call__
+
+        def counting(self, x):
+            calls.append(self)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(Tabulated, "__call__", counting)
+        rule = payment_rule(GRID, GRID.mids)
+        rule(1.0)
+        rule(GRID.samples)
+        assert len(calls) == 2
+        retained_integrand(np.array([0.5, 1.0, 2.0]), rule, GRID.samples)
+        assert len(calls) == 5 and all(c is rule for c in calls)
 
 
 class TestConstraintWeights:

@@ -10,8 +10,8 @@ import pytest
 from metaprice import blinding
 from metaprice.bidder import Strategy, _best_responses
 from metaprice.blinding import blind
-from metaprice.center import collected, payment_rule
-from metaprice.cli import ExperimentConfig, list_presets, main, preset_config
+from metaprice.center import PaymentRule, collected, payment_rule
+from metaprice.cli import ExperimentConfig, _write_csv, list_presets, main, preset_config, read_rule_csv
 from metaprice.distributions import gpd, tabulate_pdf
 from metaprice.equilibrium import EquilibriumConfig
 from metaprice.grid import Tabulated, make_grid
@@ -122,9 +122,24 @@ def test_config_error_exits_one(tmp_path, capsys):
     # null values and grid counts that are not whole numbers pass the key
     # check and fail where they are used, instead of being truncated or parsed
     for bad_value in ({"bins": None}, {"gamma": None}, {"distribution": {"family": "gpd", "shape": None}},
-                      {"bins": 50.9}, {"subsamples": 200.5}, {"bins": "50"}):
+                      {"bins": 50.9}, {"subsamples": 200.5}, {"bins": "50"},
+                      {"max_rounds": 2.5}, {"max_rounds": "3"}):
         assert main(["solve", "--config", str(write_config(tmp_path, **bad_value))]) == 1, bad_value
         assert "config error" in capsys.readouterr().err, bad_value
+    # a key the distribution family does not take is named, not ignored
+    typo = write_config(tmp_path, distribution={"family": "gpd", "shap": -0.1})
+    assert main(["solve", "--config", str(typo)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "'shap'" in err
+    for text, message in (("[1, 2]", "config must be a JSON object, got list"),
+                          ('{"max_rounds": 1e400}', "max_rounds must be a whole number, got inf")):
+        raw = tmp_path / "raw.json"
+        raw.write_text(text)
+        assert main(["solve", "--config", str(raw)]) == 1, text
+        assert f"config error: {message}" in capsys.readouterr().err, text
+    # a whole-number float is a round count
+    assert main(["solve", "--config", str(write_config(tmp_path, max_rounds=3.0))]) in (0, 3)
+    assert "max_rounds: 3\n" in capsys.readouterr().out
 
 
 def test_infeasible_budget_exits_two(tmp_path, capsys):
@@ -139,6 +154,20 @@ def test_infeasible_budget_exits_two(tmp_path, capsys):
     )
     assert main(["solve", "--config", str(config)]) == 2
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_samples_outside_the_window_are_reported_on_stderr(tmp_path, capsys):
+    inside, outside = tmp_path / "inside.txt", tmp_path / "outside.txt"
+    inside.write_text("1.0\n2.0\n2.5\n")
+    outside.write_text("1.0\n50.0\n2.0\n2.5\n-3.0\n")
+    for samples in (inside, outside):
+        config = write_config(tmp_path, distribution={"family": "empirical", "path": str(samples)},
+                              max_rounds=2, outdir=str(tmp_path / samples.stem))
+        assert main(["solve", "--config", str(config)]) in (0, 3)
+    assert capsys.readouterr().err == "warning: dropped 2 of 5 samples outside [0, 10]\n"
+    # the dropped samples change nothing the solve writes
+    for name in ("rule.csv", "strategy.csv", "ratio.csv", "surface.csv"):
+        assert (tmp_path / "inside" / name).read_bytes() == (tmp_path / "outside" / name).read_bytes(), name
 
 
 def test_nonconvergence_exits_three_but_writes_files(tmp_path):
@@ -267,3 +296,30 @@ def test_experiment_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"bogus": 1}))
     with pytest.raises(ValueError):
         ExperimentConfig.from_json(path)
+
+
+def test_rule_csv_round_trip(tmp_path):
+    grid = make_grid(0, 10, 50, 20)
+    rule = payment_rule(grid, np.sqrt(grid.mids / grid.upper) * grid.mids)
+    path = tmp_path / "rule.csv"
+    _write_csv(path, ["psi", "value"], zip(grid.mids, rule.values))
+    assert open(path).readline().strip() == "psi,value"
+    back = read_rule_csv(path, subsamples=20)
+    assert isinstance(back, PaymentRule)
+    assert np.allclose(back.values, rule.values)
+    assert back.grid.lower == pytest.approx(grid.lower)
+    assert back.grid.upper == pytest.approx(grid.upper)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("psi,value\n0.1,1.0\n0.3\n0.5,1.0\n", ":3: expected 'psi,value'"),
+    ("x,value\n0.1,1.0\n0.3,1.0\n", "expected header"),
+    ("psi,value\n0.1,1.0\n", "at least two nodes"),
+    ("psi,value\n0.1,1.0\n0.3,1.0\n0.6,1.0\n", "not uniformly spaced"),
+], ids=["short_row", "bad_header", "one_node", "uneven_spacing"])
+def test_read_rule_csv_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "rule.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message) as info:
+        read_rule_csv(path)
+    assert str(path) in str(info.value)

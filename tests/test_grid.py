@@ -1,10 +1,9 @@
-"""Grid geometry, quadrature, interpolation and CSV round-trips."""
+"""Grid geometry, quadrature and interpolation."""
 
 import numpy as np
 import pytest
 
-from metaprice.cli import _write_csv
-from metaprice.grid import Tabulated, integrate, make_grid, read_tabulated_csv
+from metaprice.grid import Tabulated, integrate, make_grid
 from metaprice.distributions import gpd, pdf
 
 
@@ -120,28 +119,3 @@ def test_subsample_refinement_stability():
     fine = integrate(lambda x: x * pdf(f, x), make_grid(0, 10, 50, 400))
     assert abs(fine - coarse) / abs(fine) < 1e-4
 
-
-def test_csv_round_trip(tmp_path):
-    grid = make_grid(0, 10, 50, 20)
-    tab = Tabulated(grid, np.sqrt(grid.mids), "rule")
-    path = tmp_path / "rule.csv"
-    _write_csv(path, ["psi", "value"], zip(grid.mids, tab.values))
-    assert open(path).readline().strip() == "psi,value"
-    back = read_tabulated_csv(path, kind="rule", subsamples=20)
-    assert np.allclose(back.values, tab.values)
-    assert back.grid.lower == pytest.approx(grid.lower)
-    assert back.grid.upper == pytest.approx(grid.upper)
-
-
-@pytest.mark.parametrize("text, message", [
-    ("psi,value\n0.1,1.0\n0.3\n0.5,1.0\n", ":3: expected 'psi,value'"),
-    ("x,value\n0.1,1.0\n0.3,1.0\n", "expected header"),
-    ("psi,value\n0.1,1.0\n", "at least two nodes"),
-    ("psi,value\n0.1,1.0\n0.3,1.0\n0.6,1.0\n", "not uniformly spaced"),
-], ids=["short_row", "bad_header", "one_node", "uneven_spacing"])
-def test_read_tabulated_csv_rejects_malformed_files(tmp_path, text, message):
-    path = tmp_path / "rule.csv"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=message) as info:
-        read_tabulated_csv(path, kind="rule")
-    assert str(path) in str(info.value)

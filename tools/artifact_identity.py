@@ -4,12 +4,12 @@ Runs one list of ``metaprice`` CLI commands twice, each command in its own
 subprocess: once with the working tree's ``src/`` and once with ``src/`` as
 committed at ``--base`` (extracted with ``git archive``).  The subprocess
 runs ``metaprice.cli.main`` through a small script that also records every
-equilibrium solve the command makes: each solve that returns adds
-``rounds.json`` to its run's directory, with every round's rule nodes,
-shades, ``r_delta`` and ``s_delta`` and the final rule and shade nodes, as
-``repr`` floats.  So a change that moves any iterate shows, even when the
-written artifacts round it away.  A solve that raises (an infeasible budget)
-records nothing; its exit code and stderr are compared as usual.  Every
+equilibrium solve the command makes in ``rounds.json`` in its run's
+directory: every round's rule nodes, shades, ``r_delta`` and ``s_delta`` as
+the solver builds the round, and the final rule and shade nodes of a solve
+that returns, as ``repr`` floats.  So a change that moves any iterate shows,
+even when the written artifacts round it away, and a solve that ends in an
+infeasible budget still records the rounds it played.  Every
 artifact file, exit code, stdout and stderr is compared byte for byte, with
 stdout's ``runtime:`` line (wall time) left out.
 Prints each difference and exits 1 if there is one, 0 otherwise.  A
@@ -23,8 +23,9 @@ The run list: ``preset exante-pareto`` at shapes -0.1, 0.01 and 1 and gamma
 0.1, 0.25, 0.4 and 0.5; ``preset exante-burr`` with its defaults and with
 ``--c 3 --k 2 --gamma 0.2``; blinded ``solve`` at mu/w sigma 2/2 and 1000/5
 with 3 rounds; an ex-ante truncated normal (mean 5, sd 1.5) at gamma 0.2;
-and ``diagnose`` of the shape-1, gamma-0.25 rule under the sigma-2 config
-and under the default (ex-ante) config.
+an ex-ante empirical fit of 400 seeded Pareto draws, all inside the window,
+at gamma 0.25; and ``diagnose`` of the shape-1, gamma-0.25 rule under the
+sigma-2 config and under the default (ex-ante) config.
 Standard library only; the file name keeps it out of pytest.
 """
 
@@ -35,6 +36,7 @@ import difflib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tarfile
@@ -48,36 +50,53 @@ CONFIGS = {
     "blinded_1000_5.json": {"mode": "blinded", "mu_sigma": 1000.0, "w_sigma": 5.0, "max_rounds": 3},
     "truncated_normal.json": {"distribution": {"family": "truncated_normal", "mean": 5.0, "stddev": 1.5},
                               "gamma": 0.2},
+    # a relative path, so both sides read their own copy of the same samples
+    "empirical.json": {"distribution": {"family": "empirical", "path": "samples.txt"}, "gamma": 0.25},
 }
 # configs read only by ``diagnose``
 DIAGNOSE_CONFIGS = {"exante.json": {}}
 
 # ``python -c RECORDER ROUNDS_JSON ARGV...``: runs the CLI and writes each
-# returned solve's rounds to ROUNDS_JSON
+# solve's rounds to ROUNDS_JSON
 RECORDER = """
 import json, sys
 from pathlib import Path
-from metaprice import cli
+from metaprice import cli, equilibrium
 
 rounds_path, argv = Path(sys.argv[1]), sys.argv[2:]
-solve, traces = cli.find_equilibrium, []
+solve, make_round, solves = cli.find_equilibrium, equilibrium.Round, []
+
+def recording_round(*args, **kwargs):
+    r = make_round(*args, **kwargs)
+    solves[-1]["rounds"].append({"rule": r.rule.values.tolist(), "shades": r.shades.tolist(),
+                                 "r_delta": r.r_delta, "s_delta": r.s_delta})
+    return r
 
 def recording(*args, **kwargs):
-    traces.append(solve(*args, **kwargs))
-    return traces[-1]
+    solves.append({"rounds": []})
+    trace = solve(*args, **kwargs)
+    solves[-1].update(rule=trace.rule.values.tolist(),
+                      shades=trace.strategy.shade_at(trace.rule.grid.mids).tolist())
+    return trace
 
-cli.find_equilibrium = recording
+cli.find_equilibrium, equilibrium.Round = recording, recording_round
 code = cli.main(argv)
-if traces:
+if solves:
     rounds_path.parent.mkdir(parents=True, exist_ok=True)
-    rounds_path.write_text(json.dumps([{
-        "rounds": [{"rule": r.rule.values.tolist(), "shades": r.shades.tolist(),
-                    "r_delta": r.r_delta, "s_delta": r.s_delta} for r in t.rounds],
-        "rule": t.rule.values.tolist(),
-        "shades": t.strategy.shade_at(t.rule.grid.mids).tolist(),
-    } for t in traces], indent=1) + "\\n")
+    rounds_path.write_text(json.dumps(solves, indent=1) + "\\n")
 sys.exit(code)
 """
+
+
+def pareto_samples(n: int = 400, upper: float = 10.0) -> list[float]:
+    """Seeded Pareto(1) draws (generalized Pareto shape 1), the first ``n``
+    that lie inside ``[0, upper]``, so the empirical fit drops none."""
+    rng, out = random.Random(2015), []
+    while len(out) < n:
+        x = 1.0 / (1.0 - rng.random()) - 1.0
+        if x <= upper:
+            out.append(x)
+    return out
 
 
 def run_list() -> list[tuple[str, list[str]]]:
@@ -112,6 +131,7 @@ def run_side(src: Path, workdir: Path) -> dict[str, dict]:
     workdir.mkdir(parents=True)
     for name, config in {**CONFIGS, **DIAGNOSE_CONFIGS}.items():
         (workdir / name).write_text(json.dumps(config))
+    (workdir / "samples.txt").write_text("".join(f"{x!r}\n" for x in pareto_samples()))
     env = {**os.environ, "PYTHONPATH": str(src)}
     results = {}
     for name, argv in run_list():
