@@ -32,19 +32,40 @@ def _kernel_columns(centers: np.ndarray, points: np.ndarray, sigma: float, lo: f
     return np.exp(-0.5 * z * z) / (sigma * _SQRT2PI) / mass[None, :]
 
 
+def _signal_kernel(sigma: float, grid: Grid) -> np.ndarray:
+    """Samples-by-nodes kernel ``K[i, j]``: the density of signal ``mids[i]``
+    at true profit ``samples[j]``."""
+    if not sigma > 0.0:
+        raise ValueError("blinding stddev must be strictly positive")
+    return _kernel_columns(grid.samples, grid.mids, sigma, grid.lower, grid.upper)
+
+
+def _signal_density(f_samples: np.ndarray, kernel: np.ndarray, grid: Grid) -> Tabulated:
+    values = kernel @ (f_samples * grid.sample_width)
+    return Tabulated(grid, values, "density").normalized()
+
+
+def _posteriors(f: DistributionSpec, f_samples: np.ndarray, kernel: np.ndarray, sigma: float,
+                grid: Grid) -> list[Tabulated]:
+    f_nodes = pdf(f, grid.mids)
+    k_nodes = _kernel_columns(grid.mids, grid.mids, sigma, grid.lower, grid.upper)
+    out = []
+    for b in range(grid.bins):
+        raw_nodes = f_nodes * k_nodes[b]
+        total = float((f_samples * kernel[b]).sum() * grid.sample_width)
+        if total <= 1e-300:
+            raise ValueError(f"posterior at signal {grid.mids[b]} has zero mass")
+        out.append(Tabulated(grid, raw_nodes / total, "density"))
+    return out
+
+
 def blind(f: DistributionSpec, sigma: float, grid: Grid) -> Tabulated:
     """Compound ``f`` with a truncated-normal kernel of width ``sigma``.
 
     Returns the signal density tabulated on the grid, renormalized to unit
     mass.  ``sigma`` must be strictly positive.
     """
-    if not sigma > 0.0:
-        raise ValueError("blinding stddev must be strictly positive")
-    xs = grid.samples
-    weights = pdf(f, xs) * grid.sample_width
-    kernel = _kernel_columns(xs, grid.mids, sigma, grid.lower, grid.upper)
-    values = kernel @ weights
-    return Tabulated(grid, values, "density").normalized()
+    return _signal_density(pdf(f, grid.samples), _signal_kernel(sigma, grid), grid)
 
 
 def posterior_table(f: DistributionSpec, sigma: float, grid: Grid) -> list[Tabulated]:
@@ -54,27 +75,23 @@ def posterior_table(f: DistributionSpec, sigma: float, grid: Grid) -> list[Tabul
     normalized against a quadrature of the exact product so they agree with
     a fine-grid oracle, not with the coarser interpolated curve.
     """
-    if not sigma > 0.0:
-        raise ValueError("blinding stddev must be strictly positive")
-    xs = grid.samples
-    f_nodes = pdf(f, grid.mids)
-    f_samples = pdf(f, xs)
-    k_nodes = _kernel_columns(grid.mids, grid.mids, sigma, grid.lower, grid.upper)
-    k_samples = _kernel_columns(xs, grid.mids, sigma, grid.lower, grid.upper)
-    out = []
-    for b in range(grid.bins):
-        raw_nodes = f_nodes * k_nodes[b]
-        total = float((f_samples * k_samples[b]).sum() * grid.sample_width)
-        if total <= 1e-300:
-            raise ValueError(f"posterior at signal {grid.mids[b]} has zero mass")
-        out.append(Tabulated(grid, raw_nodes / total, "density"))
-    return out
+    return _posteriors(f, pdf(f, grid.samples), _signal_kernel(sigma, grid), sigma, grid)
 
 
-def information(f: DistributionSpec, mu_sigma: float | None, grid: Grid) -> tuple[Tabulated, list[Tabulated]]:
-    """The bidder's signal density and beliefs: the tabulated ``f`` and ``[f]``
-    ex ante (``mu_sigma`` None), else ``blind`` and ``posterior_table``."""
+def information(f: DistributionSpec, mu_sigma: float | None, w_sigma: float | None,
+                grid: Grid) -> tuple[Tabulated, list[Tabulated], Tabulated]:
+    """The bidder's signal density and beliefs and the center's budget density:
+    the tabulated ``f`` for all three ex ante (``mu_sigma`` None), else
+    ``blind(f, mu_sigma)``, ``posterior_table(f, mu_sigma)`` and
+    ``blind(f, w_sigma)``, built from one kernel per distinct width."""
     if mu_sigma is None:
         ftab = tabulate_pdf(f, grid)
-        return ftab, [ftab]
-    return blind(f, mu_sigma, grid), posterior_table(f, mu_sigma, grid)
+        return ftab, [ftab], ftab
+    f_samples = pdf(f, grid.samples)
+    kernel = _signal_kernel(mu_sigma, grid)
+    signal_density = _signal_density(f_samples, kernel, grid)
+    beliefs = _posteriors(f, f_samples, kernel, mu_sigma, grid)
+    if w_sigma == mu_sigma:
+        return signal_density, beliefs, signal_density
+    del kernel  # at most one kernel alive at a time
+    return signal_density, beliefs, _signal_density(f_samples, _signal_kernel(w_sigma, grid), grid)

@@ -17,14 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from .bidder import deviation_incentive, regret_at_truth, retained_integrand
-from .center import InfeasibleBudgetError, PaymentRule, collected, ratio_diagnostics
+from .center import InfeasibleBudgetError, PaymentRule, collected, payment_rule, ratio_diagnostics
 from .distributions import (DistributionSpec, burr_xii, fit_empirical, gpd,
                             read_samples, truncated_normal, uniform)
 from .equilibrium import EquilibriumConfig, EquilibriumTrace, find_equilibrium, format_report
 from .grid import Grid, make_grid
 from .rules import diagnose
 
-# what a malformed or unreadable config raises; JSONDecodeError is a ValueError
+# what a malformed or unreadable config, or a set-up it leaves with no mass,
+# raises; JSONDecodeError is a ValueError
 CONFIG_ERRORS = (ValueError, TypeError, OSError)
 
 
@@ -192,8 +193,11 @@ def read_rule_csv(path: str | Path, subsamples: int = 200) -> PaymentRule:
     width = steps[0]
     if width <= 0 or not np.allclose(steps, width, rtol=1e-9, atol=1e-12):
         raise ValueError(f"{path}: psi nodes are not uniformly spaced")
+    if not np.all((vals >= 0.0) & (vals <= psi)):
+        raise ValueError(f"{path}: payment rule must satisfy 0 <= r(psi) <= psi at every node")
     grid = Grid(float(psi[0] - width / 2), float(psi[-1] + width / 2), len(psi), subsamples)
-    return PaymentRule(grid, vals)
+    # the rebuilt midpoints can sit an ulp below the written psi; the clip absorbs that
+    return payment_rule(grid, vals)
 
 
 def write_artifacts(outdir: Path, trace: EquilibriumTrace, f: DistributionSpec, grid: Grid,
@@ -235,46 +239,6 @@ def write_artifacts(outdir: Path, trace: EquilibriumTrace, f: DistributionSpec, 
     return summary
 
 
-def run_experiment(config: ExperimentConfig) -> int:
-    """Solve one experiment and write its artifact files; returns the exit code."""
-    try:
-        grid = build_grid(config)
-        f = build_distribution(config, grid)
-        eq_config = EquilibriumConfig(**{fld.name: getattr(config, fld.name)
-                                         for fld in fields(EquilibriumConfig)})
-    except CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    started = time.perf_counter()
-    try:
-        trace = find_equilibrium(f, eq_config, grid)
-    except InfeasibleBudgetError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - started
-
-    summary = write_artifacts(Path(config.outdir), trace, f, grid, config)
-    print(format_report(trace))
-    print(f"deviation incentive: {summary['deviation_incentive']:.6g}")
-    print(f"collected budget: {summary['collected']:.6g}")
-    print(f"runtime: {elapsed:.2f}s; artifacts in {config.outdir}")
-    return 0 if trace.converged else 3
-
-
-def run_diagnose(rule_path: str, config: ExperimentConfig) -> int:
-    try:
-        rule = read_rule_csv(rule_path, subsamples=config.subsamples)
-        grid = rule.grid
-        f = build_distribution(config, grid)
-        report = diagnose(rule, f, config.mu_sigma if config.mode == "blinded" else None, grid)
-    except CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(report.as_dict(), sort_keys=True, indent=2))
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="metaprice",
                                      description="payment rules for budget-balanced exchanges")
@@ -301,32 +265,47 @@ def main(argv=None) -> int:
     if args.command == "list-presets":
         print(list_presets())
         return 0
-    if args.command == "preset":
-        overrides = {}
-        for flag in PRESET_FLAGS:
-            value = getattr(args, flag.replace("-", "_"), None)
-            if value is not None:
-                overrides[flag] = value
-        try:
-            config = preset_config(args.name, overrides)
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        if args.outdir:
-            config.outdir = args.outdir
-        else:
-            config.outdir = f"out-{args.name}"
-        return run_experiment(config)
     try:
-        config = ExperimentConfig.from_json(args.config)
+        if args.command == "preset":
+            overrides = {flag: value for flag in PRESET_FLAGS
+                         if (value := getattr(args, flag.replace("-", "_"))) is not None}
+            config = preset_config(args.name, overrides)
+            config.outdir = args.outdir or f"out-{args.name}"
+        else:
+            config = ExperimentConfig.from_json(args.config)
+        if args.command == "diagnose":
+            rule = read_rule_csv(args.rule, subsamples=config.subsamples)
+            grid = rule.grid
+            f = build_distribution(config, grid)
+            report = diagnose(rule, f, config.mu_sigma if config.mode == "blinded" else None, grid)
+        else:
+            if args.command == "solve" and args.outdir:
+                config.outdir = args.outdir
+            grid = build_grid(config)
+            f = build_distribution(config, grid)
+            eq_config = EquilibriumConfig(**{fld.name: getattr(config, fld.name)
+                                             for fld in fields(EquilibriumConfig)})
+            started = time.perf_counter()
+            # a ValueError comes from the solve's set-up (normalizing a density,
+            # the mean, a posterior's mass); its rounds raise only the infeasible budget
+            trace = find_equilibrium(f, eq_config, grid)
+            elapsed = time.perf_counter() - started
+    except InfeasibleBudgetError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return 2
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+
     if args.command == "diagnose":
-        return run_diagnose(args.rule, config)
-    if args.outdir:
-        config.outdir = args.outdir
-    return run_experiment(config)
+        print(json.dumps(asdict(report), sort_keys=True, indent=2))
+        return 0
+    summary = write_artifacts(Path(config.outdir), trace, f, grid, config)
+    print(format_report(trace))
+    print(f"deviation incentive: {summary['deviation_incentive']:.6g}")
+    print(f"collected budget: {summary['collected']:.6g}")
+    print(f"runtime: {elapsed:.2f}s; artifacts in {config.outdir}")
+    return 0 if trace.converged else 3
 
 
 def console_main() -> None:

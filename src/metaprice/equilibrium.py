@@ -16,7 +16,7 @@ from typing import Literal
 import numpy as np
 
 from .bidder import Strategy, _best_responses
-from .blinding import blind, information
+from .blinding import information
 from .center import Budget, PaymentRule, payment_rule, solve_center
 from .distributions import DistributionSpec
 from .grid import Grid, Tabulated, whole_number
@@ -90,8 +90,8 @@ def find_equilibrium(f: DistributionSpec, config: EquilibriumConfig, grid: Grid)
     """
     budget = Budget.from_gamma(config.gamma, f, grid)
     blinded = config.mode == "blinded"
-    signal_density, beliefs = information(f, config.mu_sigma if blinded else None, grid)
-    constraint_density = blind(f, config.w_sigma, grid) if blinded else signal_density
+    signal_density, beliefs, constraint_density = information(
+        f, config.mu_sigma if blinded else None, config.w_sigma, grid)
 
     trace = EquilibriumTrace(config=config, budget=budget, constraint_density=constraint_density,
                              signal_density=signal_density, beliefs=beliefs)

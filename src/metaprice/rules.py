@@ -9,7 +9,7 @@ collects exactly the required budget.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,9 +114,6 @@ class RuleDiagnostics:
     collected_at_truth: float
     collected_at_strategy: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def diagnose(rule: PaymentRule, f: DistributionSpec, mu_sigma: float | None, grid: Grid) -> RuleDiagnostics:
     """Rule scorecard: regret measures, deviation incentive, collected budget.
@@ -127,10 +124,11 @@ def diagnose(rule: PaymentRule, f: DistributionSpec, mu_sigma: float | None, gri
     ftab = tabulate_pdf(f, grid)
     s_star = best_response_constant(rule, ftab, grid)
     truth = regret_at_truth(rule, f, grid)
+    signal_density, beliefs, _ = information(f, mu_sigma, mu_sigma, grid)  # a scorecard has no budget row
     return RuleDiagnostics(
         regret_at_truth=truth,
         worst_case_regret=float(rule.values.max()),
-        deviation_incentive=deviation_incentive(rule, truth, *information(f, mu_sigma, grid), grid),
+        deviation_incentive=deviation_incentive(rule, truth, signal_density, beliefs, grid),
         best_response_shade=s_star,
         retained_at_best_response=shade_objective(s_star, rule, ftab, grid),
         collected_at_truth=collected(rule, Strategy.const(0.0), ftab, grid),

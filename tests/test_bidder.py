@@ -26,7 +26,8 @@ IDENTITY_RULE = payment_rule(GRID, GRID.mids)
 
 def blinded_regret_di(rule, f, mu_sigma, grid):
     """Deviation incentive when the bidder answers each signal's posterior."""
-    return deviation_incentive(rule, regret_at_truth(rule, f, grid), *information(f, mu_sigma, grid), grid)
+    signal_density, beliefs, _ = information(f, mu_sigma, mu_sigma, grid)
+    return deviation_incentive(rule, regret_at_truth(rule, f, grid), signal_density, beliefs, grid)
 
 
 def small_rule(cutoff):

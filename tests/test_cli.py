@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metaprice import blinding
+from metaprice import blinding, cli
 from metaprice.bidder import Strategy, _best_responses
 from metaprice.blinding import blind
 from metaprice.center import PaymentRule, collected, payment_rule
@@ -142,6 +145,33 @@ def test_config_error_exits_one(tmp_path, capsys):
     assert "max_rounds: 3\n" in capsys.readouterr().out
 
 
+BLINDED_NO_MASS = {"mode": "blinded", "mu_sigma": 1e-6, "w_sigma": 1e-6, "max_rounds": 2}
+NORMAL_NO_MASS = {"distribution": {"family": "truncated_normal", "mean": 5, "stddev": 1e-9}}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("solve", BLINDED_NO_MASS), ("solve", NORMAL_NO_MASS), ("preset", None),
+    ("diagnose", BLINDED_NO_MASS), ("diagnose", NORMAL_NO_MASS),
+], ids=["solve-blinded", "solve-normal", "preset-blinded", "diagnose-blinded", "diagnose-normal"])
+def test_setup_without_mass_is_a_config_error(tmp_path, command, config):
+    # inputs that leave the solve's set-up with no mass are reported like any
+    # other bad input: one line, exit 1, nothing written
+    grid = make_grid(0, 10, 50, 200)
+    _write_csv(tmp_path / "rule.csv", ["psi", "payment_above_critical"], zip(grid.mids, grid.mids))
+    (tmp_path / "config.json").write_text(json.dumps({**(config or {}), "outdir": "out"}))
+    argv = {"solve": ["solve", "--config", "config.json"],
+            "preset": ["preset", "blinded-pareto", "--sigma", "1e-6", "--outdir", "out"],
+            "diagnose": ["diagnose", "--rule", "rule.csv", "--config", "config.json"]}[command]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "metaprice.cli", *argv], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_infeasible_budget_exits_two(tmp_path, capsys):
     # profits concentrated at one point: once shading starts, the required
     # collection exceeds what the envelope can raise
@@ -196,31 +226,30 @@ def test_blinded_collected_weighs_the_center_blinded_density(tmp_path):
         assert collected(rule, strategy, other, grid) != pytest.approx(under_h, rel=1e-3)
 
 
-def count_calls(monkeypatch, module, name):
-    """Count calls to ``module.name`` made from any metaprice module."""
-    calls = []
-    original = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("metaprice") and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counting)
-    return calls
-
-
 def test_artifact_writing_rebuilds_no_information(monkeypatch, tmp_path):
-    # the solve builds the bidder's posteriors and both blinded densities
-    # once; scoring the written rule reuses them
-    posteriors = count_calls(monkeypatch, blinding, "posterior_table")
-    blinded = count_calls(monkeypatch, blinding, "blind")
-    config = write_config(tmp_path, mode="blinded", mu_sigma=2.0, w_sigma=5.0,
-                          max_rounds=2, bins=20, subsamples=50)
-    assert main(["solve", "--config", str(config)]) in (0, 3)
-    assert len(posteriors) == 1
-    assert [args[1] for args in blinded] == [2.0, 5.0]
+    # the solve builds one samples-by-nodes kernel per distinct blinding
+    # width and shares it between the signal density and the posteriors;
+    # scoring the written rule builds none
+    events = []
+    kernel_columns, write_artifacts = blinding._kernel_columns, cli.write_artifacts
+
+    def counting_kernel(centers, points, sigma, lo, hi):
+        if len(centers) == 20 * 50 and len(points) == 20:  # centers at the samples, points at the nodes
+            events.append(sigma)
+        return kernel_columns(centers, points, sigma, lo, hi)
+
+    def marking_write(*args, **kwargs):
+        events.append("write")
+        return write_artifacts(*args, **kwargs)
+
+    monkeypatch.setattr(blinding, "_kernel_columns", counting_kernel)
+    monkeypatch.setattr(cli, "write_artifacts", marking_write)
+    for mu_sigma, w_sigma, kernels in ((2.0, 2.0, [2.0]), (2.0, 5.0, [2.0, 5.0])):
+        events.clear()
+        config = write_config(tmp_path, mode="blinded", mu_sigma=mu_sigma, w_sigma=w_sigma,
+                              max_rounds=2, bins=20, subsamples=50)
+        assert main(["solve", "--config", str(config)]) in (0, 3)
+        assert events == [*kernels, "write"], (mu_sigma, w_sigma)
 
 
 def test_exante_deviation_incentive_is_the_best_response_reading(tmp_path):
@@ -309,6 +338,22 @@ def test_rule_csv_round_trip(tmp_path):
     assert np.allclose(back.values, rule.values)
     assert back.grid.lower == pytest.approx(grid.lower)
     assert back.grid.upper == pytest.approx(grid.upper)
+
+
+def test_rule_csv_envelope_is_checked_against_the_written_psi(tmp_path, capsys):
+    # on 30 bins over [0, 10] most rebuilt midpoints sit an ulp below the
+    # written psi, so the identity rule must pass against its own psi column
+    grid = make_grid(0, 10, 30, 200)
+    config = write_config(tmp_path, bins=30)
+    path = tmp_path / "rule.csv"
+    _write_csv(path, ["psi", "payment_above_critical"], zip(grid.mids, grid.mids))
+    assert np.any(read_rule_csv(path).grid.mids < grid.mids)
+    assert main(["diagnose", "--rule", str(path), "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["worst_case_regret"] == pytest.approx(grid.mids[-1])
+    _write_csv(path, ["psi", "payment_above_critical"], zip(grid.mids, grid.mids + np.eye(30)[4] * 1e-12))
+    assert main(["diagnose", "--rule", str(path), "--config", str(config)]) == 1
+    message = "payment rule must satisfy 0 <= r(psi) <= psi at every node"
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("text, message", [

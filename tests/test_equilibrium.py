@@ -85,13 +85,13 @@ def test_exante_round_shade_is_the_constant_best_response():
 def test_blinded_solve_builds_posteriors_once(monkeypatch):
     # neither f nor mu_sigma changes within a solve, so neither do the posteriors
     calls = []
-    original = blinding.posterior_table
+    original = blinding._posteriors
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(blinding, "posterior_table", counting)
+    monkeypatch.setattr(blinding, "_posteriors", counting)
     cfg = EquilibriumConfig(mode="blinded", gamma=0.25, mu_sigma=2.0, w_sigma=2.0, max_rounds=3)
     trace = find_equilibrium(F_PARETO, cfg, SMALL)
     assert trace.n_rounds == 3

@@ -137,9 +137,10 @@ class TestDiagnose:
         assert rep_small.deviation_incentive < rep_thresh.deviation_incentive
 
     def test_report_serializes_flat(self):
+        import dataclasses
         import json
         report = diagnose(realize("threshold", 2.0, GRID).realized, F_PARETO, 5.0, GRID)
-        data = json.loads(json.dumps(report.as_dict()))
+        data = json.loads(json.dumps(dataclasses.asdict(report)))
         assert set(data) == {
             "regret_at_truth", "worst_case_regret", "deviation_incentive",
             "best_response_shade", "retained_at_best_response",

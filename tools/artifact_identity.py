@@ -24,8 +24,12 @@ The run list: ``preset exante-pareto`` at shapes -0.1, 0.01 and 1 and gamma
 ``--c 3 --k 2 --gamma 0.2``; blinded ``solve`` at mu/w sigma 2/2 and 1000/5
 with 3 rounds; an ex-ante truncated normal (mean 5, sd 1.5) at gamma 0.2;
 an ex-ante empirical fit of 400 seeded Pareto draws, all inside the window,
-at gamma 0.25; and ``diagnose`` of the shape-1, gamma-0.25 rule under the
-sigma-2 config and under the default (ex-ante) config.
+at gamma 0.25; ``diagnose`` of the shape-1, gamma-0.25 rule under the
+sigma-2 config and under the default (ex-ante) config; and six runs that
+exit 1: ``preset exante-pareto --gamma abc``, ``preset no-such-preset``,
+``preset exante-pareto --sigma 1``, ``solve`` with ``{"bins": 1}``, and
+``diagnose`` of a missing rule file and of a rule CSV with a short row.
+Every path is relative, so both sides print the same bytes.
 Standard library only; the file name keeps it out of pytest.
 """
 
@@ -53,8 +57,8 @@ CONFIGS = {
     # a relative path, so both sides read their own copy of the same samples
     "empirical.json": {"distribution": {"family": "empirical", "path": "samples.txt"}, "gamma": 0.25},
 }
-# configs read only by ``diagnose``
-DIAGNOSE_CONFIGS = {"exante.json": {}}
+# configs read only by ``diagnose`` and the runs that exit 1
+OTHER_CONFIGS = {"exante.json": {}, "one_bin.json": {"bins": 1}}
 
 # ``python -c RECORDER ROUNDS_JSON ARGV...``: runs the CLI and writes each
 # solve's rounds to ROUNDS_JSON
@@ -115,6 +119,14 @@ def run_list() -> list[tuple[str, list[str]]]:
         runs.append((name, ["solve", "--config", config, "--outdir", f"runs/{name}"]))
     for name, config in (("diagnose", "blinded_2_2.json"), ("diagnose-exante", "exante.json")):
         runs.append((name, ["diagnose", "--rule", "runs/exante-pareto_1_0.25/rule.csv", "--config", config]))
+    # bad input: exit 1 with one stderr line, compared like any output
+    for name, argv in (("error-gamma-abc", ["preset", "exante-pareto", "--gamma", "abc"]),
+                       ("error-no-such-preset", ["preset", "no-such-preset"]),
+                       ("error-preset-flag", ["preset", "exante-pareto", "--sigma", "1"]),
+                       ("error-one-bin", ["solve", "--config", "one_bin.json"])):
+        runs.append((name, [*argv, "--outdir", f"runs/{name}"]))
+    for name, rule in (("error-missing-rule", "missing.csv"), ("error-short-row", "short_row.csv")):
+        runs.append((name, ["diagnose", "--rule", rule, "--config", "exante.json"]))
     return runs
 
 
@@ -129,9 +141,10 @@ def extract_src(rev: str, dest: Path) -> Path:
 def run_side(src: Path, workdir: Path) -> dict[str, dict]:
     """Run every command with ``src`` on the path; returns what each left behind."""
     workdir.mkdir(parents=True)
-    for name, config in {**CONFIGS, **DIAGNOSE_CONFIGS}.items():
+    for name, config in {**CONFIGS, **OTHER_CONFIGS}.items():
         (workdir / name).write_text(json.dumps(config))
     (workdir / "samples.txt").write_text("".join(f"{x!r}\n" for x in pareto_samples()))
+    (workdir / "short_row.csv").write_text("psi,value\n0.1,0.0\n0.3\n0.5,0.2\n")
     env = {**os.environ, "PYTHONPATH": str(src)}
     results = {}
     for name, argv in run_list():
