@@ -10,10 +10,11 @@ ties broken toward the smallest shade.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .distributions import DistributionSpec, pdf
 from .grid import Grid, Tabulated
@@ -24,6 +25,7 @@ from .grid import Grid, Tabulated
 # result stable under quadrature refinement.
 TIE_RTOL = 1e-4
 _BRENT_XATOL = 1e-10
+_BRENT_MAXFUN = 500
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,39 @@ class Strategy:
         return np.asarray(self.table(arr), dtype=float)
 
 
+def _tail_search(xs: np.ndarray, v: float, i0: int, bound: float, side: str) -> int:
+    """``i0 + np.searchsorted(xs[i0:] - v, bound, side)``, subtracting ``v`` near the answer only.
+
+    The guess at ``bound + v`` on ``xs`` is stepped to the exact index on the
+    computed ``xs[j] - v``, which never decreases as ``xs[j]`` grows.
+    """
+    before = operator.le if side == "right" else operator.lt
+    j = max(int(xs.searchsorted(bound + v, side)), i0)
+    while j > i0 and not before(xs[j - 1] - v, bound):
+        j -= 1
+    while j < xs.size and before(xs[j] - v, bound):
+        j += 1
+    return j
+
+
+def _retained_row(row: np.ndarray, v: float, rule, xs: np.ndarray) -> np.ndarray:
+    """Fill ``row`` in place with the retained regret at the one shade ``v``; return it.
+
+    The rule is interpolated only inside its support, and only that window
+    of the winning tail is shifted by ``v``.
+    """
+    lo, hi = rule.support
+    i0 = int(xs.searchsorted(v))
+    a = _tail_search(xs, v, i0, lo, "right")
+    b = _tail_search(xs, v, i0, hi, "left")
+    row[:i0] = xs[:i0]
+    row[i0:a] = 0.0
+    window = np.subtract(xs[a:b], v, out=row[a:b])
+    row[a:b] = rule(window)
+    row[b:] = 0.0
+    return row
+
+
 def retained_integrand(s, rule, xs: np.ndarray) -> np.ndarray:
     """Retained regret ``I[x < s] x + I[x >= s] r(x - s)`` at ``xs``, one row per shade.
 
@@ -73,17 +108,8 @@ def retained_integrand(s, rule, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     shades = np.asarray(s, dtype=float).reshape(-1)
     out = np.empty((shades.size, xs.size))
-    lo, hi = rule.support
     for row, v in zip(out, shades):
-        i0 = int(np.searchsorted(xs, v))
-        # bound the window on the computed tail so the comparisons are exact
-        tail = xs[i0:] - v
-        a = int(np.searchsorted(tail, lo, "right"))
-        b = int(np.searchsorted(tail, hi, "left"))
-        row[:i0] = xs[:i0]
-        row[i0:i0 + a] = 0.0
-        row[i0 + a:i0 + b] = rule(tail[a:b])
-        row[i0 + b:] = 0.0
+        _retained_row(row, v, rule, xs)
     return out if np.ndim(s) > 0 else out[0]
 
 
@@ -112,28 +138,115 @@ def _scan_shades(grid: Grid) -> np.ndarray:
     return np.unique(np.concatenate(([grid.lower], grid.mids, [grid.upper])))
 
 
+def _sign(t: float) -> float:
+    """``np.sign(t) + (t == 0)``: -1.0 below zero, else 1.0."""
+    return -1.0 if t < 0.0 else 1.0
+
+
+def _brent_bounded(func, a: float, b: float, xatol: float) -> tuple[float, float, int]:
+    """Minimize ``func`` on ``[a, b]`` by bounded Brent: ``(x, f(x), evaluations)``.
+
+    A line-for-line port of scipy 1.17's ``_minimize_scalar_bounded``, the
+    ``minimize_scalar(method="bounded")`` solver, on Python floats: the same
+    operations in the same order, so the same iterates, and at most 500
+    evaluations.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # check for a parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            # is the parabola acceptable?
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+            else:
+                golden = True
+
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= _BRENT_MAXFUN:
+            break
+
+    return xf, fx, num
+
+
 def _best_response_with_value(rule, belief: Tabulated, grid: Grid,
                               scan: np.ndarray) -> tuple[float, float]:
     """Best shade against ``belief`` and its expected retained regret, given
     the rule's scan matrix built once by :func:`_best_responses`."""
     xs = grid.samples
     weights = np.asarray(belief(xs), dtype=float) * grid.sample_width
+    # every Brent evaluation refills this one row
+    row = np.empty(xs.size)
 
     def objective(s: float) -> float:
-        return float(retained_integrand(s, rule, xs) @ weights)
+        return float(_retained_row(row, s, rule, xs) @ weights)
 
     cands = _scan_shades(grid)
     vals = scan @ weights
 
     pool: list[tuple[float, float]] = [(float(cands[0]), float(vals[0])), (float(cands[-1]), float(vals[-1]))]
     for idx in _local_minima(vals):
-        lo = cands[max(idx - 1, 0)]
-        hi = cands[min(idx + 1, len(cands) - 1)]
+        lo = float(cands[max(idx - 1, 0)])
+        hi = float(cands[min(idx + 1, len(cands) - 1)])
         pool.append((float(cands[idx]), float(vals[idx])))
         if hi > lo:
-            res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": _BRENT_XATOL})
-            pool.append((float(res.x), float(res.fun)))
+            x, fx, _ = _brent_bounded(objective, lo, hi, _BRENT_XATOL)
+            pool.append((x, fx))
 
     # ties form an equivalence class of minima: report its smallest shade as
     # the response and its best value as the attained minimum

@@ -61,7 +61,11 @@ class ExperimentConfig:
 
 
 def build_grid(config: ExperimentConfig) -> Grid:
-    return make_grid(config.lower, config.upper, config.bins, config.subsamples)
+    """The configured grid; potential profit is nonnegative, so ``lower`` is too."""
+    grid = make_grid(config.lower, config.upper, config.bins, config.subsamples)
+    if grid.lower < 0.0:
+        raise ValueError(f"lower must be >= 0, got {grid.lower!r}")
+    return grid
 
 
 def build_distribution(config: ExperimentConfig, grid: Grid) -> DistributionSpec:
@@ -95,16 +99,10 @@ def build_distribution(config: ExperimentConfig, grid: Grid) -> DistributionSpec
 
 PRESETS: dict[str, dict] = {
     "exante-pareto": {
-        "description": "ex-ante equilibrium, generalized Pareto profits (vary --shape)",
+        "description": "ex-ante equilibrium, generalized Pareto profits (vary --shape, --gamma)",
         "config": {"mode": "exante",
                    "distribution": {"family": "gpd", "location": 0.0, "scale": 1.0, "shape": 1.0}},
         "flags": {"shape": "distribution.shape", "gamma": "gamma"},
-    },
-    "exante-gamma": {
-        "description": "ex-ante equilibrium, Pareto shape 1, budget-fraction sweep (vary --gamma)",
-        "config": {"mode": "exante",
-                   "distribution": {"family": "gpd", "location": 0.0, "scale": 1.0, "shape": 1.0}},
-        "flags": {"gamma": "gamma", "shape": "distribution.shape"},
     },
     "exante-burr": {
         "description": "ex-ante equilibrium, Burr XII profits (vary --c/--k; interior-band rule)",
@@ -152,8 +150,8 @@ def list_presets() -> str:
     for name, entry in PRESETS.items():
         lines.append(f"  {name:15s} {entry['description']}")
         lines.append(f"  {'':15s} flags: " + ", ".join(f"--{f}" for f in entry["flags"]))
-    lines.append("  standard sweeps: exante-pareto --shape {-0.1,0.01,1};")
-    lines.append("  exante-gamma --gamma {0.25,0.5,0.75}; blinded-pareto --sigma {2,5,10,1000}.")
+    lines.append("  standard sweeps: exante-pareto --shape {-0.1,0.01,1} and --gamma {0.25,0.5,0.75};")
+    lines.append("  blinded-pareto --sigma {2,5,10,1000}.")
     lines.append("  note: the default budget is gamma 0.25.  Measured ex-ante equilibria: shape 1 at")
     lines.append("  gamma 0.40, 0.42 and an isolated 0.48, none at 0.44-0.46 or >= 0.5; shapes -0.1")
     lines.append("  and 0.01 at 0.375, none at 0.4.  At gamma 0.5 all three exit with code 2.")

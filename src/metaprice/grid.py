@@ -121,9 +121,7 @@ class Tabulated:
         y = np.interp(arr, self.grid.mids, self.values)
         if self.kind == "density":
             y = np.where((arr < self.grid.lower) | (arr > self.grid.upper), 0.0, y)
-        if np.isscalar(x) or arr.ndim == 0:
-            return float(y)
-        return y
+        return float(y) if arr.ndim == 0 else y
 
     def bin_masses(self) -> np.ndarray:
         """Per-bin integrals of the interpolated curve (length ``bins``)."""

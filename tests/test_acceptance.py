@@ -406,7 +406,7 @@ def preset_instances():
         yield (f"exante-pareto --shape {shape}",
                preset_config("exante-pareto", {"shape": str(shape)}), "converges")
     for gamma in (0.25, 0.5, 0.75):
-        yield (f"exante-gamma --gamma {gamma}", preset_config("exante-gamma", {"gamma": str(gamma)}),
+        yield (f"exante-pareto --gamma {gamma}", preset_config("exante-pareto", {"gamma": str(gamma)}),
                "converges" if gamma < 0.5 else "no equilibrium")
     yield "exante-burr --c 2 --k 1", preset_config("exante-burr", {"c": "2", "k": "1"}), "converges"
     for sigma in (2.0, 5.0, 10.0, 1000.0):

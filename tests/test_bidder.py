@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
-from metaprice.bidder import (Strategy, _best_responses, _scan_shades, best_response_constant,
+from metaprice.bidder import (_BRENT_XATOL, Strategy, _best_responses, _brent_bounded, _local_minima,
+                              _retained_row, _scan_shades, _sign, best_response_constant,
                               deviation_incentive, regret_at_truth, retained_integrand,
                               shade_objective)
 from metaprice.blinding import information, posterior_table
@@ -36,6 +38,25 @@ def small_rule(cutoff):
 
 def spike(node):
     return payment_rule(GRID, np.where(np.arange(GRID.bins) == node, GRID.mids, 0.0))
+
+
+def landing_shades(xs, bound):
+    """Shades ``v`` whose computed ``xs[i] - v`` is ``bound`` for a few ``i``
+    past it, each with its neighbours one ulp either side; and how many landed exactly."""
+    start = int(np.searchsorted(xs, bound))
+    shades, landed = [], 0
+    for i in sorted({start, start + 1, start + 7, (start + len(xs)) // 2, len(xs) - 1}):
+        if i >= len(xs):
+            continue
+        v = float(xs[i] - bound)
+        for _ in range(8):
+            d = xs[i] - v
+            if d == bound:
+                landed += 1
+                break
+            v = math.nextafter(v, math.inf if d > bound else -math.inf)
+        shades += [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+    return shades, landed
 
 
 # rules whose zero nodes bound the evaluation window in every way (on no
@@ -123,14 +144,21 @@ class TestShadeObjective:
         # alike, also at shades on a sample point, on a node, between
         # samples, below, at and above the range
         between = GRID.samples[4000] + 0.25 * GRID.sample_width
-        shades = np.array([0.0, GRID.samples[1234], GRID.mids[17], GRID.mids[22], between,
-                           -1.0, GRID.upper, GRID.upper + 1.0])
-        for name, (rule, _) in WINDOW_RULES.items():
+        common = [0.0, GRID.samples[1234], GRID.mids[17], GRID.mids[22], between,
+                  -1.0, GRID.upper, GRID.upper + 1.0]
+        landed = 0
+        for name, (rule, support) in WINDOW_RULES.items():
+            # and at shades that put a computed xs[i] - s on a support bound,
+            # or one ulp either side of such a shade
+            edge = [landing_shades(xs, bound) for bound in support if math.isfinite(bound)]
+            landed += sum(n for _, n in edge)
+            shades = np.array(common + [v for found, _ in edge for v in found])
             rows = retained_integrand(shades, rule, xs)
             for s, row in zip(shades, rows):
                 masked = np.where(xs < s, xs, np.asarray(rule(xs - s), dtype=float)).tobytes()
                 assert retained_integrand(float(s), rule, xs).tobytes() == masked, (name, s)
                 assert row.tobytes() == masked, (name, s)
+        assert landed >= 10
 
     @pytest.mark.parametrize("name", list(WINDOW_RULES))
     def test_support_names_the_zero_nodes_around_the_nonzero_ones(self, name):
@@ -154,6 +182,58 @@ class TestShadeObjective:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * scan.nbytes
+
+
+def scipy_bounded(func, lo, hi, xatol):
+    res = minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    return float(res.x), float(res.fun), int(res.nfev)
+
+
+def exact(x, fx, nfev):
+    return float(x).hex(), float(fx).hex(), nfev
+
+
+class TestBrentPort:
+    """The bidder's bounded Brent follows scipy's ``method="bounded"`` exactly."""
+
+    @pytest.mark.parametrize("xatol", [_BRENT_XATOL, 1e-5])
+    @pytest.mark.parametrize("func, lo, hi", [
+        (lambda s: (s - 0.3) ** 2, 0.0, 1.0),
+        (lambda s: (s + 1.0) ** 2, 0.0, 1.0),
+        (lambda s: (s - 2.0) ** 2, 0.0, 1.0),
+        (lambda s: 1.0, 0.1, 0.3),
+        (lambda s: 0.0 if s < 0.37 else 1.0, 0.0, 1.0),
+        (lambda s: 1.0 if s < 0.37 else 0.0, 0.0, 1.0),
+        (lambda s: (s - 0.5) ** 2, 0.5, 0.5 + 4 * math.ulp(0.5)),
+    ], ids=["interior", "at_lower", "at_upper", "constant", "step_up", "step_down", "ulps_wide"])
+    def test_matches_scipy_bit_for_bit(self, func, lo, hi, xatol):
+        assert exact(*_brent_bounded(func, lo, hi, xatol)) == exact(*scipy_bounded(func, lo, hi, xatol))
+
+    def test_step_direction_matches_scipy(self):
+        # scipy steps by np.sign(t) + (t == 0): a zero step or a midpoint at
+        # the current point goes up
+        for t in (-2.5, -1e-300, -0.0, 0.0, 1e-300, 3.0):
+            assert _sign(t) == np.sign(t) + (t == 0), t
+
+    @pytest.mark.parametrize("belief", [F_TAB, posterior_table(F_PARETO, 2.0, GRID)[20]],
+                             ids=["exante", "sigma_2_posterior"])
+    def test_retained_regret_basins_match_scipy(self, belief):
+        # every basin the best response refines, on the real objective
+        rule = small_rule(4.0)
+        xs = GRID.samples
+        weights = np.asarray(belief(xs), dtype=float) * GRID.sample_width
+        row = np.empty(xs.size)
+
+        def objective(s):
+            return float(_retained_row(row, s, rule, xs) @ weights)
+
+        cands = _scan_shades(GRID)
+        basins = [(float(cands[max(i - 1, 0)]), float(cands[min(i + 1, len(cands) - 1)]))
+                  for i in _local_minima(retained_integrand(cands, rule, xs) @ weights)]
+        assert basins
+        for lo, hi in basins:
+            ours = _brent_bounded(objective, lo, hi, _BRENT_XATOL)
+            assert exact(*ours) == exact(*scipy_bounded(objective, lo, hi, _BRENT_XATOL)), (lo, hi)
 
 
 class TestBestResponseConstant:

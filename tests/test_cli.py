@@ -37,7 +37,7 @@ def test_list_presets_mentions_the_sweeps(capsys):
     assert main(["list-presets"]) == 0
     text = capsys.readouterr().out
     assert "exante-pareto" in text
-    assert "exante-gamma" in text
+    assert "--gamma {0.25,0.5,0.75}" in text
     assert "exante-burr" in text
     assert "blinded-pareto" in text
     assert "--sigma" in text and "1000" in text
@@ -140,6 +140,9 @@ def test_config_error_exits_one(tmp_path, capsys):
         raw.write_text(text)
         assert main(["solve", "--config", str(raw)]) == 1, text
         assert f"config error: {message}" in capsys.readouterr().err, text
+    # a negative lower bound is refused at set-up, by name, before any round
+    assert main(["solve", "--config", str(write_config(tmp_path, lower=-1.0))]) == 1
+    assert "config error: lower must be >= 0, got -1.0" in capsys.readouterr().err
     # a whole-number float is a round count
     assert main(["solve", "--config", str(write_config(tmp_path, max_rounds=3.0))]) in (0, 3)
     assert "max_rounds: 3\n" in capsys.readouterr().out

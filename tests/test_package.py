@@ -2,6 +2,8 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,7 +12,8 @@ import metaprice
 SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 # Targets deleted on purpose that the benchmark still lists; a traced run
 # reports their layers as absent.  An entry goes when the benchmark drops it.
-RETIRED_TARGETS = {("metaprice.bidder", "blinded_regret_DI")}
+RETIRED_TARGETS = {("metaprice.bidder", "blinded_regret_DI"),
+                   ("metaprice.bidder", "minimize_scalar")}
 
 
 def test_every_public_name_resolves():
@@ -45,3 +48,14 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
             missing.append(f"{module_name}.{attr}")
     assert not missing, f"benchmark trace targets no longer resolve: {missing}"
     assert not revived, f"retired benchmark trace targets resolve again: {revived}"
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # the bidder's Brent step lives in the package, so start-up does not pay
+    # for scipy.optimize
+    src = str(Path(metaprice.__file__).resolve().parents[1])
+    code = "import sys, metaprice.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
