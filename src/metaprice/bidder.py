@@ -245,8 +245,7 @@ def _best_response_with_value(rule, belief: Tabulated, grid: Grid,
         hi = float(cands[min(idx + 1, len(cands) - 1)])
         pool.append((float(cands[idx]), float(vals[idx])))
         if hi > lo:
-            x, fx, _ = _brent_bounded(objective, lo, hi, _BRENT_XATOL)
-            pool.append((x, fx))
+            pool.append(_brent_bounded(objective, lo, hi, _BRENT_XATOL)[:2])
 
     # ties form an equivalence class of minima: report its smallest shade as
     # the response and its best value as the attained minimum
