@@ -291,7 +291,9 @@ def deviation_incentive(rule, truth: float, signal_density: Tabulated, beliefs: 
     ``truth`` is :func:`regret_at_truth`.  Each belief's best-response value
     is weighed by the signal density, as :func:`~metaprice.blinding.information`
     pairs them; one ex-ante value holds at every signal.  Nonnegative up to
-    quadrature error.
+    quadrature error: ``truth`` integrates the exact pdf while the bidder's
+    values use the tabulated ``f``, so the difference can dip below zero
+    (ROADMAP item 6).
     """
     _, values = _best_responses(rule, beliefs, grid)
     xs = grid.samples

@@ -33,8 +33,8 @@ def _kernel_columns(centers: np.ndarray, points: np.ndarray, sigma: float, lo: f
 
 
 def _signal_kernel(sigma: float, grid: Grid) -> np.ndarray:
-    """Samples-by-nodes kernel ``K[i, j]``: the density of signal ``mids[i]``
-    at true profit ``samples[j]``."""
+    """Nodes-by-samples kernel ``K[i, j]``, shape ``(bins, bins * subsamples)``:
+    the density of signal ``mids[i]`` at true profit ``samples[j]``."""
     if not sigma > 0.0:
         raise ValueError("blinding stddev must be strictly positive")
     return _kernel_columns(grid.samples, grid.mids, sigma, grid.lower, grid.upper)

@@ -166,13 +166,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def read_rule_csv(path: str | Path, subsamples: int = 200) -> PaymentRule:
+def read_rule_csv(path: str | Path, grid: Grid) -> PaymentRule:
     """Read a rule as :func:`write_artifacts` writes ``rule.csv``: header
-    ``psi,<value>``, then one ``psi,value`` row per node.
-
-    The uniform grid is reconstructed from the psi column (node spacing must
-    be uniform).
-    """
+    ``psi,<value>``, then one ``psi,value`` row per node of ``grid``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -183,18 +179,13 @@ def read_rule_csv(path: str | Path, subsamples: int = 200) -> PaymentRule:
             if len(row) < 2:
                 raise ValueError(f"{path}:{reader.line_num}: expected 'psi,value', got {row!r}")
             rows.append((float(row[0]), float(row[1])))
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least two nodes")
     psi = np.array([r[0] for r in rows])
     vals = np.array([r[1] for r in rows])
-    steps = np.diff(psi)
-    width = steps[0]
-    if width <= 0 or not np.allclose(steps, width, rtol=1e-9, atol=1e-12):
-        raise ValueError(f"{path}: psi nodes are not uniformly spaced")
+    if psi.shape != grid.mids.shape or not np.allclose(psi, grid.mids, rtol=1e-9, atol=0.0):
+        raise ValueError(f"{path}: psi column does not match the config's grid "
+                         f"({grid.bins} nodes on [{grid.lower:g}, {grid.upper:g}])")
     if not np.all((vals >= 0.0) & (vals <= psi)):
         raise ValueError(f"{path}: payment rule must satisfy 0 <= r(psi) <= psi at every node")
-    grid = Grid(float(psi[0] - width / 2), float(psi[-1] + width / 2), len(psi), subsamples)
-    # the rebuilt midpoints can sit an ulp below the written psi; the clip absorbs that
     return payment_rule(grid, vals)
 
 
@@ -271,18 +262,17 @@ def main(argv=None) -> int:
             config.outdir = args.outdir or f"out-{args.name}"
         else:
             config = ExperimentConfig.from_json(args.config)
-        if args.command == "diagnose":
-            rule = read_rule_csv(args.rule, subsamples=config.subsamples)
-            grid = rule.grid
-            f = build_distribution(config, grid)
-            report = diagnose(rule, f, config.mu_sigma if config.mode == "blinded" else None, grid)
-        else:
             if args.command == "solve" and args.outdir:
                 config.outdir = args.outdir
-            grid = build_grid(config)
-            f = build_distribution(config, grid)
-            eq_config = EquilibriumConfig(**{fld.name: getattr(config, fld.name)
-                                             for fld in fields(EquilibriumConfig)})
+        grid = build_grid(config)
+        f = build_distribution(config, grid)
+        eq_config = EquilibriumConfig(**{fld.name: getattr(config, fld.name)
+                                         for fld in fields(EquilibriumConfig)})
+        outdir = Path(config.outdir)  # a bad outdir is a config error before any round
+        if args.command == "diagnose":
+            rule = read_rule_csv(args.rule, grid)
+            report = diagnose(rule, f, eq_config.mu_sigma if eq_config.mode == "blinded" else None, grid)
+        else:
             started = time.perf_counter()
             # a ValueError comes from the solve's set-up (normalizing a density,
             # the mean, a posterior's mass); its rounds raise only the infeasible budget
@@ -298,7 +288,7 @@ def main(argv=None) -> int:
     if args.command == "diagnose":
         print(json.dumps(asdict(report), sort_keys=True, indent=2))
         return 0
-    summary = write_artifacts(Path(config.outdir), trace, f, grid, config)
+    summary = write_artifacts(outdir, trace, f, grid, config)
     print(format_report(trace))
     print(f"deviation incentive: {summary['deviation_incentive']:.6g}")
     print(f"collected budget: {summary['collected']:.6g}")

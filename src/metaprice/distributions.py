@@ -166,7 +166,7 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ValueError(f"bad truncation window [{self.lo}, {self.hi}]")
-        if self._norm <= 1e-300:
+        if not self._norm > 1e-300:  # also a NaN mass
             raise ValueError("truncation window carries no probability mass")
 
     @cached_property

@@ -52,7 +52,7 @@ class TestPaymentRuleIsANodeTable:
         else:
             path = tmp_path / "rule.csv"
             _write_csv(path, ["psi", "payment_above_critical"], zip(GRID.mids, 0.5 * GRID.mids))
-            rule = read_rule_csv(path)
+            rule = read_rule_csv(path, GRID)
             assert np.array_equal(rule.values, 0.5 * GRID.mids)
         assert isinstance(rule, PaymentRule) and isinstance(rule, Tabulated)
         assert rule.kind == "rule"
@@ -65,7 +65,7 @@ class TestPaymentRuleIsANodeTable:
         path = tmp_path / "rule.csv"
         path.write_text("psi,value\n0.1,0.0\n0.3,0.5\n")
         with pytest.raises(ValueError, match="0 <= r"):
-            read_rule_csv(path)
+            read_rule_csv(path, make_grid(0, 0.4, 2, 10))
         for vals in (np.zeros(49), np.full(50, np.nan)):
             with pytest.raises(ValueError):
                 PaymentRule(GRID, vals)

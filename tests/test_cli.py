@@ -134,12 +134,19 @@ def test_config_error_exits_one(tmp_path, capsys):
     assert main(["solve", "--config", str(typo)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "'shap'" in err
+    no_mass = "truncation window carries no probability mass"
     for text, message in (("[1, 2]", "config must be a JSON object, got list"),
-                          ('{"max_rounds": 1e400}', "max_rounds must be a whole number, got inf")):
+                          ('{"max_rounds": 1e400}', "max_rounds must be a whole number, got inf"),
+                          # a NaN parameter gives the window a NaN mass
+                          ('{"distribution": {"family": "truncated_normal", "mean": NaN}}', no_mass),
+                          # an outdir that is no path is refused at set-up, not after the rounds
+                          ('{"outdir": 5, "max_rounds": 2}', "expected str, bytes or os.PathLike object, not int")):
         raw = tmp_path / "raw.json"
         raw.write_text(text)
         assert main(["solve", "--config", str(raw)]) == 1, text
         assert f"config error: {message}" in capsys.readouterr().err, text
+    assert main(["preset", "exante-pareto", "--shape", "nan", "--outdir", str(tmp_path / "p")]) == 1
+    assert f"config error: {no_mass}" in capsys.readouterr().err
     # a negative lower bound is refused at set-up, by name, before any round
     assert main(["solve", "--config", str(write_config(tmp_path, lower=-1.0))]) == 1
     assert "config error: lower must be >= 0, got -1.0" in capsys.readouterr().err
@@ -230,7 +237,7 @@ def test_blinded_collected_weighs_the_center_blinded_density(tmp_path):
 
 
 def test_artifact_writing_rebuilds_no_information(monkeypatch, tmp_path):
-    # the solve builds one samples-by-nodes kernel per distinct blinding
+    # the solve builds one nodes-by-samples kernel per distinct blinding
     # width and shares it between the signal density and the posteriors;
     # scoring the written rule builds none
     events = []
@@ -270,16 +277,37 @@ def test_exante_deviation_incentive_is_the_best_response_reading(tmp_path):
 
 
 @pytest.mark.parametrize("overrides", [{"gamma": 0.25},
-                                       {"mode": "blinded", "mu_sigma": 2.0, "w_sigma": 2.0, "max_rounds": 3}],
-                         ids=["exante", "blinded"])
+                                       {"mode": "blinded", "mu_sigma": 2.0, "w_sigma": 2.0, "max_rounds": 3},
+                                       {"bins": 30}],
+                         ids=["exante", "blinded", "bins30"])
 def test_diagnose_reports_the_summary_deviation_incentive(tmp_path, capsys, overrides):
+    # the rule is scored on the config's grid, the one the solve ran on
     config = write_config(tmp_path, **overrides)
     assert main(["solve", "--config", str(config)]) in (0, 3)
     capsys.readouterr()  # drain the solve report
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert main(["diagnose", "--rule", str(tmp_path / "out" / "rule.csv"), "--config", str(config)]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["deviation_incentive"] == pytest.approx(summary["deviation_incentive"], rel=1e-9, abs=0.0)
+    for key in ("deviation_incentive", "regret_at_truth"):
+        assert report[key] == summary[key], key
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"mode": "blinded"}, "blinded mode requires mu_sigma > 0"),
+    ({"mode": "nonsense"}, "unknown mode 'nonsense'"),
+    ({"lower": -4}, "lower must be >= 0, got -4.0"),
+    ({"bins": 30}, "rule.csv: psi column does not match the config's grid (30 nodes on [0, 10])"),
+], ids=["blinded-without-sigma", "unknown-mode", "negative-lower", "grid-mismatch"])
+def test_diagnose_checks_the_config_as_solve_does(tmp_path, capsys, monkeypatch, overrides, message):
+    # diagnose builds the same set-up as solve, so it rejects what solve rejects
+    monkeypatch.chdir(tmp_path)
+    grid = make_grid(0, 10, 50, 200)
+    _write_csv(tmp_path / "rule.csv", ["psi", "payment_above_critical"], zip(grid.mids, 0.5 * grid.mids))
+    config = write_config(tmp_path, **overrides)
+    assert main(["diagnose", "--rule", "rule.csv", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
 
 
 def test_preset_config_resolution():
@@ -336,21 +364,18 @@ def test_rule_csv_round_trip(tmp_path):
     path = tmp_path / "rule.csv"
     _write_csv(path, ["psi", "value"], zip(grid.mids, rule.values))
     assert open(path).readline().strip() == "psi,value"
-    back = read_rule_csv(path, subsamples=20)
+    back = read_rule_csv(path, grid)
     assert isinstance(back, PaymentRule)
-    assert np.allclose(back.values, rule.values)
-    assert back.grid.lower == pytest.approx(grid.lower)
-    assert back.grid.upper == pytest.approx(grid.upper)
+    assert np.array_equal(back.values, rule.values)
+    assert back.grid is grid
 
 
 def test_rule_csv_envelope_is_checked_against_the_written_psi(tmp_path, capsys):
-    # on 30 bins over [0, 10] most rebuilt midpoints sit an ulp below the
-    # written psi, so the identity rule must pass against its own psi column
+    # the identity rule, written on 30 bins, passes on the config's grid
     grid = make_grid(0, 10, 30, 200)
     config = write_config(tmp_path, bins=30)
     path = tmp_path / "rule.csv"
     _write_csv(path, ["psi", "payment_above_critical"], zip(grid.mids, grid.mids))
-    assert np.any(read_rule_csv(path).grid.mids < grid.mids)
     assert main(["diagnose", "--rule", str(path), "--config", str(config)]) == 0
     assert json.loads(capsys.readouterr().out)["worst_case_regret"] == pytest.approx(grid.mids[-1])
     _write_csv(path, ["psi", "payment_above_critical"], zip(grid.mids, grid.mids + np.eye(30)[4] * 1e-12))
@@ -359,15 +384,19 @@ def test_rule_csv_envelope_is_checked_against_the_written_psi(tmp_path, capsys):
     assert capsys.readouterr().err == f"config error: {path}: {message}\n"
 
 
+MISMATCH = r"psi column does not match the config's grid \(3 nodes on \[0, 0.6\]\)"
+
+
 @pytest.mark.parametrize("text, message", [
     ("psi,value\n0.1,1.0\n0.3\n0.5,1.0\n", ":3: expected 'psi,value'"),
     ("x,value\n0.1,1.0\n0.3,1.0\n", "expected header"),
-    ("psi,value\n0.1,1.0\n", "at least two nodes"),
-    ("psi,value\n0.1,1.0\n0.3,1.0\n0.6,1.0\n", "not uniformly spaced"),
+    ("psi,value\n0.1,1.0\n", MISMATCH),
+    ("psi,value\n0.1,1.0\n0.3,1.0\n0.6,1.0\n", MISMATCH),
 ], ids=["short_row", "bad_header", "one_node", "uneven_spacing"])
 def test_read_rule_csv_rejects_malformed_files(tmp_path, text, message):
+    # the grid's nodes are 0.1, 0.3 and 0.5
     path = tmp_path / "rule.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=message) as info:
-        read_rule_csv(path)
+        read_rule_csv(path, make_grid(0, 0.6, 3, 10))
     assert str(path) in str(info.value)

@@ -24,8 +24,9 @@ The run list: ``preset exante-pareto`` at shapes -0.1, 0.01 and 1 and gamma
 ``--c 3 --k 2 --gamma 0.2``; blinded ``solve`` at mu/w sigma 2/2 and 1000/5
 with 3 rounds; an ex-ante truncated normal (mean 5, sd 1.5) at gamma 0.2;
 an ex-ante empirical fit of 400 seeded Pareto draws, all inside the window,
-at gamma 0.25; ``diagnose`` of the shape-1, gamma-0.25 rule under the
-sigma-2 config and under the default (ex-ante) config; and six runs that
+at gamma 0.25; ex-ante ``solve`` on 30 bins; ``diagnose`` of the shape-1,
+gamma-0.25 rule under the sigma-2 config and under the default (ex-ante)
+config, and of the 30-bin run's rule under its own config; and six runs that
 exit 1: ``preset exante-pareto --gamma abc``, ``preset no-such-preset``,
 ``preset exante-pareto --sigma 1``, ``solve`` with ``{"bins": 1}``, and
 ``diagnose`` of a missing rule file and of a rule CSV with a short row.
@@ -56,6 +57,7 @@ CONFIGS = {
                               "gamma": 0.2},
     # a relative path, so both sides read their own copy of the same samples
     "empirical.json": {"distribution": {"family": "empirical", "path": "samples.txt"}, "gamma": 0.25},
+    "bins_30.json": {"bins": 30},
 }
 # configs read only by ``diagnose`` and the runs that exit 1
 OTHER_CONFIGS = {"exante.json": {}, "one_bin.json": {"bins": 1}}
@@ -117,8 +119,10 @@ def run_list() -> list[tuple[str, list[str]]]:
     for config in CONFIGS:
         name = config.removesuffix(".json")
         runs.append((name, ["solve", "--config", config, "--outdir", f"runs/{name}"]))
-    for name, config in (("diagnose", "blinded_2_2.json"), ("diagnose-exante", "exante.json")):
-        runs.append((name, ["diagnose", "--rule", "runs/exante-pareto_1_0.25/rule.csv", "--config", config]))
+    for name, rule, config in (("diagnose", "exante-pareto_1_0.25", "blinded_2_2.json"),
+                               ("diagnose-exante", "exante-pareto_1_0.25", "exante.json"),
+                               ("diagnose-bins_30", "bins_30", "bins_30.json")):
+        runs.append((name, ["diagnose", "--rule", f"runs/{rule}/rule.csv", "--config", config]))
     # bad input: exit 1 with one stderr line, compared like any output
     for name, argv in (("error-gamma-abc", ["preset", "exante-pareto", "--gamma", "abc"]),
                        ("error-no-such-preset", ["preset", "no-such-preset"]),
