@@ -11,7 +11,7 @@ equilibrium rule and shade.
 from .grid import Grid, Tabulated, integrate, make_grid
 from .distributions import (DistributionSpec, burr_xii, cdf, fit_empirical, gpd, mean,
                             pdf, tabulate_pdf, truncated_normal, uniform)
-from .blinding import blind, information, posterior_table
+from .blinding import blind, information
 from .bidder import (Strategy, best_response_constant, deviation_incentive, retained_integrand,
                      shade_objective)
 from .center import (Budget, InfeasibleBudgetError, PaymentRule, constraint_weights,
@@ -23,7 +23,7 @@ __all__ = [
     "Grid", "Tabulated", "integrate", "make_grid",
     "DistributionSpec", "gpd", "burr_xii", "truncated_normal", "uniform",
     "fit_empirical", "pdf", "cdf", "mean", "tabulate_pdf",
-    "blind", "posterior_table", "information",
+    "blind", "information",
     "Strategy", "retained_integrand", "shade_objective", "best_response_constant",
     "deviation_incentive",
     "Budget", "PaymentRule", "payment_rule", "InfeasibleBudgetError",

@@ -113,15 +113,15 @@ def retained_integrand(s, rule, xs: np.ndarray) -> np.ndarray:
     return out if np.ndim(s) > 0 else out[0]
 
 
-def shade_objective(s, rule, belief: Tabulated, grid: Grid):
-    """Expected retained regret of shading by ``s`` under ``belief``.
+def _weights(belief: np.ndarray, grid: Grid) -> np.ndarray:
+    """Quadrature weights at ``grid.samples`` of a belief's node values on ``grid.mids``."""
+    return np.interp(grid.samples, grid.mids, belief) * grid.sample_width
 
-    Quadrature of :func:`retained_integrand` against the belief density.
-    Accepts a scalar or an array of shades.
-    """
-    xs = grid.samples
-    weights = np.asarray(belief(xs), dtype=float) * grid.sample_width
-    out = retained_integrand(np.atleast_1d(np.asarray(s, dtype=float)), rule, xs) @ weights
+
+def shade_objective(s, rule, belief: Tabulated, grid: Grid):
+    """Expected retained regret of shading by ``s`` (a scalar or an array) under ``belief``."""
+    weights = _weights(belief.values, grid)
+    out = retained_integrand(np.atleast_1d(np.asarray(s, dtype=float)), rule, grid.samples) @ weights
     if np.isscalar(s) or np.asarray(s).ndim == 0:
         return float(out[0])
     return out
@@ -224,12 +224,12 @@ def _brent_bounded(func, a: float, b: float, xatol: float) -> tuple[float, float
     return xf, fx, num
 
 
-def _best_response_with_value(rule, belief: Tabulated, grid: Grid,
+def _best_response_with_value(rule, belief: np.ndarray, grid: Grid,
                               scan: np.ndarray) -> tuple[float, float]:
-    """Best shade against ``belief`` and its expected retained regret, given
-    the rule's scan matrix built once by :func:`_best_responses`."""
+    """Best shade against a belief's node values and its expected retained
+    regret, given the rule's scan matrix built once by :func:`_best_responses`."""
     xs = grid.samples
-    weights = np.asarray(belief(xs), dtype=float) * grid.sample_width
+    weights = _weights(belief, grid)
     # every Brent evaluation refills this one row
     row = np.empty(xs.size)
 
@@ -256,8 +256,8 @@ def _best_response_with_value(rule, belief: Tabulated, grid: Grid,
     return float(s_star), float(best_val)
 
 
-def _best_responses(rule, beliefs: list[Tabulated], grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Best shade and its attained objective against each belief in turn."""
+def _best_responses(rule, beliefs: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Best shade and its attained objective against each row of node values in turn."""
     # the integrand does not depend on the belief: one scan matrix serves every belief
     scan = retained_integrand(_scan_shades(grid), rule, grid.samples)
     shades = np.empty(len(beliefs))
@@ -274,7 +274,7 @@ def best_response_constant(rule, belief: Tabulated, grid: Grid) -> float:
     the best value found, ``TIE_RTOL`` = 1e-4) the shade closest to zero is
     returned; the whole procedure is deterministic.
     """
-    return float(_best_responses(rule, [belief], grid)[0][0])
+    return float(_best_responses(rule, belief.values[None, :], grid)[0][0])
 
 
 def regret_at_truth(rule, f: DistributionSpec, grid: Grid) -> float:
@@ -284,7 +284,7 @@ def regret_at_truth(rule, f: DistributionSpec, grid: Grid) -> float:
                         np.full(xs.shape, grid.sample_width)))
 
 
-def deviation_incentive(rule, truth: float, signal_density: Tabulated, beliefs: list[Tabulated],
+def deviation_incentive(rule, truth: float, signal_density: Tabulated, beliefs: np.ndarray,
                         grid: Grid) -> float:
     """Regret at truth minus the regret the bidder keeps by best responding.
 

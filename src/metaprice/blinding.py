@@ -46,17 +46,18 @@ def _signal_density(f_samples: np.ndarray, kernel: np.ndarray, grid: Grid) -> Ta
 
 
 def _posteriors(f: DistributionSpec, f_samples: np.ndarray, kernel: np.ndarray, sigma: float,
-                grid: Grid) -> list[Tabulated]:
-    f_nodes = pdf(f, grid.mids)
+                grid: Grid) -> np.ndarray:
+    """Beliefs ``(bins, bins)``: row ``b`` holds the node values of ``f(x) * mu_x(mids[b])``
+    over its quadrature on the samples, so a row agrees with a fine-grid oracle."""
     k_nodes = _kernel_columns(grid.mids, grid.mids, sigma, grid.lower, grid.upper)
-    out = []
-    for b in range(grid.bins):
-        raw_nodes = f_nodes * k_nodes[b]
-        total = float((f_samples * kernel[b]).sum() * grid.sample_width)
-        if total <= 1e-300:
-            raise ValueError(f"posterior at signal {grid.mids[b]} has zero mass")
-        out.append(Tabulated(grid, raw_nodes / total, "density"))
-    return out
+    totals = (f_samples * kernel).sum(axis=1) * grid.sample_width
+    empty = ~(totals > 1e-300)  # NaN included
+    if empty.any():
+        raise ValueError(f"posterior at signal {grid.mids[empty.argmax()]} has zero mass")
+    beliefs = pdf(f, grid.mids) * k_nodes / totals[:, None]
+    if not np.all(np.isfinite(beliefs) & (beliefs >= 0.0)):
+        raise ValueError("posteriors must be finite and nonnegative")
+    return beliefs
 
 
 def blind(f: DistributionSpec, sigma: float, grid: Grid) -> Tabulated:
@@ -68,25 +69,15 @@ def blind(f: DistributionSpec, sigma: float, grid: Grid) -> Tabulated:
     return _signal_density(pdf(f, grid.samples), _signal_kernel(sigma, grid), grid)
 
 
-def posterior_table(f: DistributionSpec, sigma: float, grid: Grid) -> list[Tabulated]:
-    """Posteriors for every bin midpoint treated as the signal.
-
-    Each is proportional to ``f(x) * mu_x(signal)``; node values are
-    normalized against a quadrature of the exact product so they agree with
-    a fine-grid oracle, not with the coarser interpolated curve.
-    """
-    return _posteriors(f, pdf(f, grid.samples), _signal_kernel(sigma, grid), sigma, grid)
-
-
 def information(f: DistributionSpec, mu_sigma: float | None, w_sigma: float | None,
-                grid: Grid) -> tuple[Tabulated, list[Tabulated], Tabulated]:
-    """The bidder's signal density and beliefs and the center's budget density:
-    the tabulated ``f`` for all three ex ante (``mu_sigma`` None), else
-    ``blind(f, mu_sigma)``, ``posterior_table(f, mu_sigma)`` and
-    ``blind(f, w_sigma)``, built from one kernel per distinct width."""
+                grid: Grid) -> tuple[Tabulated, np.ndarray, Tabulated]:
+    """The bidder's signal density, its beliefs as rows of node values, and the
+    center's budget density: ex ante (``mu_sigma`` None) the tabulated ``f``, its
+    node values as one row, and ``f`` again; else ``blind(f, mu_sigma)``, one posterior
+    row per signal node and ``blind(f, w_sigma)``, built from one kernel per distinct width."""
     if mu_sigma is None:
         ftab = tabulate_pdf(f, grid)
-        return ftab, [ftab], ftab
+        return ftab, ftab.values[None, :], ftab
     f_samples = pdf(f, grid.samples)
     kernel = _signal_kernel(mu_sigma, grid)
     signal_density = _signal_density(f_samples, kernel, grid)

@@ -273,6 +273,10 @@ def main(argv=None) -> int:
             rule = read_rule_csv(args.rule, grid)
             report = diagnose(rule, f, eq_config.mu_sigma if eq_config.mode == "blinded" else None, grid)
         else:
+            # an outdir at or under a regular file cannot be made: refuse it now, making nothing
+            existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+            if not existing.is_dir():
+                raise NotADirectoryError(f"outdir {outdir}: {existing} is not a directory")
             started = time.perf_counter()
             # a ValueError comes from the solve's set-up (normalizing a density,
             # the mean, a posterior's mass); its rounds raise only the infeasible budget

@@ -69,7 +69,7 @@ class EquilibriumTrace:
     budget: Budget
     constraint_density: Tabulated
     signal_density: Tabulated
-    beliefs: list[Tabulated]
+    beliefs: np.ndarray  # (n_beliefs, bins) node values
     rounds: list[Round] = field(default_factory=list)
     converged: bool = False
     rule: PaymentRule | None = None

@@ -11,7 +11,7 @@ from metaprice.bidder import (_BRENT_XATOL, Strategy, _best_responses, _brent_bo
                               _retained_row, _scan_shades, _sign, best_response_constant,
                               deviation_incentive, regret_at_truth, retained_integrand,
                               shade_objective)
-from metaprice.blinding import information, posterior_table
+from metaprice.blinding import information
 from metaprice.center import payment_rule
 from metaprice.distributions import gpd, pdf, tabulate_pdf, uniform
 from metaprice.grid import Tabulated, make_grid
@@ -24,6 +24,11 @@ UNIFORM_TAB = tabulate_pdf(uniform(0, 10), GRID)
 
 ZERO_RULE = payment_rule(GRID, np.zeros(50))
 IDENTITY_RULE = payment_rule(GRID, GRID.mids)
+
+
+def posteriors(f, sigma):
+    """The beliefs of a blinded solve: one row of node values per signal node."""
+    return information(f, sigma, sigma, GRID)[1]
 
 
 def blinded_regret_di(rule, f, mu_sigma, grid):
@@ -215,13 +220,13 @@ class TestBrentPort:
         for t in (-2.5, -1e-300, -0.0, 0.0, 1e-300, 3.0):
             assert _sign(t) == np.sign(t) + (t == 0), t
 
-    @pytest.mark.parametrize("belief", [F_TAB, posterior_table(F_PARETO, 2.0, GRID)[20]],
+    @pytest.mark.parametrize("belief", [F_TAB.values, posteriors(F_PARETO, 2.0)[20]],
                              ids=["exante", "sigma_2_posterior"])
     def test_retained_regret_basins_match_scipy(self, belief):
         # every basin the best response refines, on the real objective
         rule = small_rule(4.0)
         xs = GRID.samples
-        weights = np.asarray(belief(xs), dtype=float) * GRID.sample_width
+        weights = np.interp(xs, GRID.mids, belief) * GRID.sample_width
         row = np.empty(xs.size)
 
         def objective(s):
@@ -269,12 +274,12 @@ class TestBestResponseConstant:
 
 class TestBestResponseFunctional:
     def test_zero_rule_all_zero(self):
-        shades = _best_responses(ZERO_RULE, posterior_table(F_PARETO, 5.0, GRID), GRID)[0]
+        shades = _best_responses(ZERO_RULE, posteriors(F_PARETO, 5.0), GRID)[0]
         assert np.all(shades == 0.0)
 
     def test_wide_blinding_collapses_to_ex_ante(self):
         rule = small_rule(6.1)
-        shades = _best_responses(rule, posterior_table(F_PARETO, 1000.0, GRID), GRID)[0]
+        shades = _best_responses(rule, posteriors(F_PARETO, 1000.0), GRID)[0]
         s_exante = best_response_constant(rule, F_TAB, GRID)
         assert np.max(np.abs(shades - s_exante)) < GRID.width
 
@@ -284,14 +289,14 @@ class TestBestResponseFunctional:
     def test_shared_scan_equals_per_belief_responses(self, rule, sigma):
         # one scan matrix shared by every signal gives exactly the responses
         # each posterior gets on its own
-        posts = posterior_table(F_PARETO, sigma, GRID)
-        alone = np.array([np.concatenate(_best_responses(rule, [belief], GRID)) for belief in posts])
+        posts = posteriors(F_PARETO, sigma)
+        alone = np.array([np.concatenate(_best_responses(rule, belief[None, :], GRID)) for belief in posts])
         shades, values = _best_responses(rule, posts, GRID)
         assert np.all(shades == alone[:, 0])
         assert np.all(values == alone[:, 1])
 
     def test_sharp_blinding_bids_critical_value(self):
-        shades = _best_responses(IDENTITY_RULE, posterior_table(F_PARETO, 0.05, GRID), GRID)[0]
+        shades = _best_responses(IDENTITY_RULE, posteriors(F_PARETO, 0.05), GRID)[0]
         assert np.max(np.abs(shades - GRID.mids)) < GRID.width
 
 

@@ -150,6 +150,15 @@ def test_config_error_exits_one(tmp_path, capsys):
     # a negative lower bound is refused at set-up, by name, before any round
     assert main(["solve", "--config", str(write_config(tmp_path, lower=-1.0))]) == 1
     assert "config error: lower must be >= 0, got -1.0" in capsys.readouterr().err
+    # an outdir under a regular file is refused before any round, and nothing is made
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    raw.write_text(json.dumps({"outdir": str(afile / "out"), "max_rounds": 2}))
+    assert main(["solve", "--config", str(raw)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: outdir {afile / 'out'}: {afile} is not a directory\n"
+    assert sorted(tmp_path.rglob("*")) == before and afile.read_text() == ""
     # a whole-number float is a round count
     assert main(["solve", "--config", str(write_config(tmp_path, max_rounds=3.0))]) in (0, 3)
     assert "max_rounds: 3\n" in capsys.readouterr().out
@@ -271,7 +280,7 @@ def test_exante_deviation_incentive_is_the_best_response_reading(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     grid = make_grid(0, 10, 50, 200)
     rule = payment_rule(grid, np.loadtxt(out / "rule.csv", delimiter=",", skiprows=1)[:, 1])
-    _, values = _best_responses(rule, [tabulate_pdf(gpd(0, 1, 1.0, 0, 10), grid)], grid)
+    _, values = _best_responses(rule, tabulate_pdf(gpd(0, 1, 1.0, 0, 10), grid).values[None, :], grid)
     expected = summary["regret_at_truth"] - values[0]
     assert summary["deviation_incentive"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 

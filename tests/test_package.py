@@ -13,7 +13,8 @@ SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 # Targets deleted on purpose that the benchmark still lists; a traced run
 # reports their layers as absent.  An entry goes when the benchmark drops it.
 RETIRED_TARGETS = {("metaprice.bidder", "blinded_regret_DI"),
-                   ("metaprice.bidder", "minimize_scalar")}
+                   ("metaprice.bidder", "minimize_scalar"),
+                   ("metaprice.blinding", "posterior_table")}
 
 
 def test_every_public_name_resolves():

@@ -5,13 +5,15 @@ subprocess: once with the working tree's ``src/`` and once with ``src/`` as
 committed at ``--base`` (extracted with ``git archive``).  The subprocess
 runs ``metaprice.cli.main`` through a small script that also records every
 equilibrium solve the command makes in ``rounds.json`` in its run's
-directory: every round's rule nodes, shades, ``r_delta`` and ``s_delta`` as
-the solver builds the round, and the final rule and shade nodes of a solve
-that returns, as ``repr`` floats.  So a change that moves any iterate shows,
-even when the written artifacts round it away, and a solve that ends in an
-infeasible budget still records the rounds it played.  Every
-artifact file, exit code, stdout and stderr is compared byte for byte, with
-stdout's ``runtime:`` line (wall time) left out.
+directory: the information the solve builds (the signal-density nodes, one
+row of node values per belief and the constraint-density nodes), every
+round's rule nodes, shades, ``r_delta`` and ``s_delta`` as the solver builds
+the round, and the final rule and shade nodes of a solve that returns, as
+``repr`` floats.  So a change that moves any iterate or belief shows, even
+when the written artifacts round it away or the trajectories coincide, and
+a solve that ends in an infeasible budget still records the rounds it
+played.  Every artifact file, exit code, stdout and stderr is compared byte
+for byte, with stdout's ``runtime:`` line (wall time) left out.
 Prints each difference and exits 1 if there is one, 0 otherwise.  A
 differing ``summary.json`` is shown key by key with the base value, the
 working tree's value and their relative difference; differing stdout is
@@ -31,7 +33,8 @@ exit 1: ``preset exante-pareto --gamma abc``, ``preset no-such-preset``,
 ``preset exante-pareto --sigma 1``, ``solve`` with ``{"bins": 1}``, and
 ``diagnose`` of a missing rule file and of a rule CSV with a short row.
 Every path is relative, so both sides print the same bytes.
-Standard library only; the file name keeps it out of pytest.
+Standard library only (the recorder runs beside metaprice and uses its numpy);
+the file name keeps it out of pytest.
 """
 
 from __future__ import annotations
@@ -67,10 +70,21 @@ OTHER_CONFIGS = {"exante.json": {}, "one_bin.json": {"bins": 1}}
 RECORDER = """
 import json, sys
 from pathlib import Path
+import numpy as np
 from metaprice import cli, equilibrium
 
 rounds_path, argv = Path(sys.argv[1]), sys.argv[2:]
 solve, make_round, solves = cli.find_equilibrium, equilibrium.Round, []
+inform = equilibrium.information
+
+def recording_information(*args, **kwargs):
+    signal_density, beliefs, constraint_density = out = inform(*args, **kwargs)
+    # a list of Tabulated beliefs or an array of node rows: the same numbers
+    solves[-1]["information"] = {
+        "signal_density": signal_density.values.tolist(),
+        "beliefs": np.asarray([getattr(b, "values", b) for b in beliefs]).tolist(),
+        "constraint_density": constraint_density.values.tolist()}
+    return out
 
 def recording_round(*args, **kwargs):
     r = make_round(*args, **kwargs)
@@ -86,6 +100,7 @@ def recording(*args, **kwargs):
     return trace
 
 cli.find_equilibrium, equilibrium.Round = recording, recording_round
+equilibrium.information = recording_information
 code = cli.main(argv)
 if solves:
     rounds_path.parent.mkdir(parents=True, exist_ok=True)
