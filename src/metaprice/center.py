@@ -71,6 +71,22 @@ class PaymentRule(Tabulated):
         super().__post_init__()
         if np.any(self.values < 0.0) or np.any(self.values > self.grid.mids):
             raise ValueError("payment rule must satisfy 0 <= r(psi) <= psi at every node")
+        # a -0.0 node is stored as +0.0, the value its piece gives; x + 0.0 is x for any other x
+        object.__setattr__(self, "values", self.values + 0.0)
+
+    @cached_property
+    def pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(cuts, nodes, slopes, lefts)``: the rule as ``bins + 1`` linear pieces.
+
+        On ``cuts[j] <= x < cuts[j + 1]`` (the nodes between ``-inf`` and
+        ``inf``) ``r(x)`` is ``slopes[j] * (x - nodes[j]) + lefts[j]``, with
+        ``np.interp``'s slope ``(y[j+1] - y[j]) / (x[j+1] - x[j])`` inside and
+        slope 0 at the two clamped ends; at a node that is ``0 + y``, the node value.
+        """
+        mids, y = self.grid.mids, self.values
+        cuts = np.concatenate(([-math.inf], mids, [math.inf]))
+        slopes = np.concatenate(([0.0], (y[1:] - y[:-1]) / (mids[1:] - mids[:-1]), [0.0]))
+        return cuts, np.concatenate((mids[:1], mids)), slopes, np.concatenate((y[:1], y))
 
     @cached_property
     def support(self) -> tuple[float, float]:

@@ -8,12 +8,13 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from metaprice.bidder import (_BRENT_XATOL, Strategy, _best_responses, _brent_bounded, _local_minima,
-                              _retained_row, _scan_shades, _sign, best_response_constant,
-                              deviation_incentive, regret_at_truth, retained_integrand,
-                              shade_objective)
+                              _retained_row, _rule_on_ascending, _scan_shades, _sign,
+                              best_response_constant, deviation_incentive, regret_at_truth,
+                              retained_integrand, shade_objective)
 from metaprice.blinding import information
-from metaprice.center import payment_rule
+from metaprice.center import PaymentRule, payment_rule
 from metaprice.distributions import gpd, pdf, tabulate_pdf, uniform
+from metaprice.equilibrium import EquilibriumConfig, find_equilibrium
 from metaprice.grid import Tabulated, make_grid
 from metaprice.rules import realize
 
@@ -187,6 +188,110 @@ class TestShadeObjective:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * scan.nbytes
+
+
+def interp_bytes(rule, x):
+    """What ``np.interp`` makes of ``rule`` at ``x``, as bytes."""
+    return np.interp(x, rule.grid.mids, rule.values).tobytes()
+
+
+def pieces_bytes(rule, x):
+    """What the piecewise kernel makes of ``rule`` at a copy of ``x``, as bytes."""
+    return _rule_on_ascending(rule, np.array(x, dtype=float)).tobytes()
+
+
+def solve_rules(grid, rounds=3):
+    """Each round's rule and each damped average of a blinded sigma-2 solve."""
+    trace = find_equilibrium(F_PARETO, EquilibriumConfig(mode="blinded", mu_sigma=2.0, w_sigma=2.0,
+                                                         max_rounds=rounds), grid)
+    r_bar, rules = np.zeros(grid.bins), []
+    for rnd in trace.rounds:
+        r_bar = 0.8 * r_bar + 0.2 * rnd.rule.values
+        rules += [rnd.rule, payment_rule(grid, r_bar)]
+    assert np.array_equal(rules[-1].values, trace.rule.values)
+    return rules
+
+
+def random_rules(grid, rng, n=4):
+    """Rules with every node in the envelope, and bang-bang rules of 0 or psi."""
+    rules = []
+    for _ in range(n):
+        rules.append(payment_rule(grid, rng.uniform(0.0, 1.0, grid.bins) * grid.mids))
+        rules.append(payment_rule(grid, np.where(rng.uniform(size=grid.bins) < 0.5, grid.mids, 0.0)))
+    return rules
+
+
+class TestRulePieces:
+    """The bidder evaluates the rule piece by piece with ``np.interp``'s bits."""
+
+    def test_window_rules_match_interp_on_every_shade(self):
+        shades = np.concatenate((_scan_shades(GRID), [-1.0, 0.123456789, 10.5]))
+        for name, (rule, _) in WINDOW_RULES.items():
+            for v in shades:
+                assert pieces_bytes(rule, GRID.samples - v) == interp_bytes(rule, GRID.samples - v), (name, v)
+
+    def test_solve_rules_match_interp(self):
+        # each round's rule of a 3-round sigma-2 solve and its damped average
+        rules = solve_rules(GRID)
+        assert len(rules) == 6
+        shades = _scan_shades(GRID)
+        for i, rule in enumerate(rules):
+            rows = retained_integrand(shades, rule, GRID.samples)
+            for v, row in zip(shades, rows):
+                window = GRID.samples - v
+                assert pieces_bytes(rule, window) == interp_bytes(rule, window), (i, v)
+                masked = np.where(GRID.samples < v, GRID.samples, np.interp(window, GRID.mids, rule.values))
+                assert row.tobytes() == masked.tobytes(), (i, v)
+
+    @pytest.mark.parametrize("lower, upper, bins", [(0, 10, 30), (0, 10, 50), (0, 10, 200), (0, 7, 30),
+                                                    (0, 7, 50)])
+    def test_random_and_bang_bang_rules_match_interp(self, lower, upper, bins):
+        grid = make_grid(lower, upper, bins, 200 if bins <= 50 else 50)
+        rng = np.random.default_rng(bins + upper)
+        xs = grid.samples
+        shades = np.concatenate((_scan_shades(grid), rng.uniform(-1.0, upper + 1.0, 20)))
+        for rule in random_rules(grid, rng):
+            rows = retained_integrand(shades, rule, xs)
+            for v, row in zip(shades, rows):
+                assert pieces_bytes(rule, xs - v) == interp_bytes(rule, xs - v), v
+                masked = np.where(xs < v, xs, np.interp(xs - v, grid.mids, rule.values))
+                assert row.tobytes() == masked.tobytes(), v
+
+    @pytest.mark.parametrize("grid", [GRID, make_grid(0, 7, 30, 200)], ids=["0_10_50", "0_7_30"])
+    def test_points_exactly_on_every_node(self, grid):
+        # shades that put a computed xs[i] - v exactly on each node, and one
+        # ulp either side: numpy's node branch returns the node value as is
+        rules = random_rules(grid, np.random.default_rng(7), n=1)
+        xs, landed = grid.samples, 0
+        for j, node in enumerate(grid.mids):
+            shades, n = landing_shades(xs, node)
+            assert n > 0, j
+            landed += n
+            for v in shades:
+                window = xs - v
+                for rule in rules:
+                    assert pieces_bytes(rule, window) == interp_bytes(rule, window), (j, v)
+        assert landed >= grid.bins
+
+    def test_windows_of_one_point_and_none(self):
+        rules = [rule for rule, _ in WINDOW_RULES.values()] + random_rules(GRID, np.random.default_rng(3))
+        points = [-1.0, 0.0, GRID.mids[0], GRID.mids[0] + 0.01, GRID.mids[17], GRID.mids[-1], 9.99, 10.0, 11.0]
+        for rule in rules:
+            assert _rule_on_ascending(rule, np.empty(0)).size == 0
+            for x in points:
+                assert pieces_bytes(rule, [x]) == interp_bytes(rule, [x]), x
+
+    def test_negative_zero_nodes_are_stored_as_positive_zero(self):
+        # np.interp returns a -0.0 node as -0.0 where it is hit exactly, the
+        # kernel as 0 + -0.0 = +0.0; a rule stores no -0.0, so both agree
+        vals = np.where(np.arange(GRID.bins) % 3 == 0, -0.0, 0.5 * GRID.mids)
+        hits = GRID.mids[::3]
+        assert np.all(np.signbit(np.interp(hits, GRID.mids, vals)))
+        for rule in (payment_rule(GRID, vals), PaymentRule(GRID, vals)):
+            assert not np.any(np.signbit(rule.values))
+            assert np.array_equal(rule.values, vals)
+            assert pieces_bytes(rule, hits) == interp_bytes(rule, hits)
+            assert pieces_bytes(rule, GRID.samples - 0.3) == interp_bytes(rule, GRID.samples - 0.3)
 
 
 def scipy_bounded(func, lo, hi, xatol):

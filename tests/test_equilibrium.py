@@ -1,8 +1,14 @@
 """Damped iterated best response: fixed points, traces, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import metaprice
 from metaprice import blinding
 from metaprice.bidder import Strategy, best_response_constant, shade_objective
 from metaprice.center import collected, solve_center
@@ -165,3 +171,35 @@ def test_format_report_mentions_rounds_and_shade():
     assert f"rounds: {trace.n_rounds}" in text
     assert "final shade" in text
     assert "r_delta" in text
+
+
+# prints the rounds of a 3-round blinded sigma-2 solve and of an ex-ante
+# shape-1 solve at gamma 0.25 as the hex of their bytes
+RECORD_ROUNDS = """
+from metaprice.distributions import gpd
+from metaprice.equilibrium import EquilibriumConfig, find_equilibrium
+from metaprice.grid import make_grid
+
+grid, f = make_grid(0, 10, 50, 200), gpd(0, 1, 1.0, 0, 10)
+for config in (EquilibriumConfig(mode="blinded", mu_sigma=2.0, w_sigma=2.0, max_rounds=3),
+               EquilibriumConfig(gamma=0.25)):
+    trace = find_equilibrium(f, config, grid)
+    for rnd in trace.rounds:
+        print(rnd.rule.values.tobytes().hex(), rnd.shades.tobytes().hex(), rnd.r_delta.hex(), rnd.s_delta.hex())
+    print(trace.rule.values.tobytes().hex(), trace.strategy.shade_at(grid.mids).tobytes().hex())
+"""
+
+
+def test_rounds_do_not_depend_on_the_blas_thread_count():
+    # a multi-threaded BLAS may sum the per-belief product scan @ weights in
+    # another order; the rounds must come out the same bytes either way
+    src = str(Path(metaprice.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", RECORD_ROUNDS], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    # three blinded rounds and the result, then at least one ex-ante round and the result
+    assert len(outputs[0].splitlines()) >= 3 + 1 + 1 + 1
+    assert outputs[0] == outputs[1]

@@ -24,7 +24,7 @@ shown line by line.
 The run list: ``preset exante-pareto`` at shapes -0.1, 0.01 and 1 and gamma
 0.1, 0.25, 0.4 and 0.5; ``preset exante-burr`` with its defaults and with
 ``--c 3 --k 2 --gamma 0.2``; blinded ``solve`` at mu/w sigma 2/2 and 1000/5
-with 3 rounds; an ex-ante truncated normal (mean 5, sd 1.5) at gamma 0.2;
+with 3 rounds, and at 2/2 with 3 rounds on 30 bins on [0, 7]; an ex-ante truncated normal (mean 5, sd 1.5) at gamma 0.2;
 an ex-ante empirical fit of 400 seeded Pareto draws, all inside the window,
 at gamma 0.25; ex-ante ``solve`` on 30 bins; ``diagnose`` of the shape-1,
 gamma-0.25 rule under the sigma-2 config and under the default (ex-ante)
@@ -61,6 +61,9 @@ CONFIGS = {
     # a relative path, so both sides read their own copy of the same samples
     "empirical.json": {"distribution": {"family": "empirical", "path": "samples.txt"}, "gamma": 0.25},
     "bins_30.json": {"bins": 30},
+    # nodes that are not round numbers: 30 bins on [0, 7]
+    "blinded_2_2_bins_30_upper_7.json": {"mode": "blinded", "mu_sigma": 2.0, "w_sigma": 2.0, "max_rounds": 3,
+                                         "bins": 30, "upper": 7.0},
 }
 # configs read only by ``diagnose`` and the runs that exit 1
 OTHER_CONFIGS = {"exante.json": {}, "one_bin.json": {"bins": 1}}
