@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,69 +64,94 @@ class Strategy:
         return np.asarray(self.table(arr), dtype=float)
 
 
-def _tail_search(xs: np.ndarray, v: float, i0: int, bound: float, side: str) -> int:
-    """``i0 + np.searchsorted(xs[i0:] - v, bound, side)``, subtracting ``v`` near the answer only.
+def _tail_search(keys, v: float, i0: int, bound: float, side) -> int:
+    """``i0 + np.searchsorted(xs[i0:] - v, bound, side)`` on ``keys``, the ascending
+    ``xs`` as Python floats, with ``side`` ``bisect_left`` or ``bisect_right``.
 
-    The guess at ``bound + v`` on ``xs`` is stepped to the exact index on the
-    computed ``xs[j] - v``, which never decreases as ``xs[j]`` grows.
+    The guess at ``bound + v`` is stepped to the exact index on the computed
+    ``keys[j] - v``, which never decreases as ``keys[j]`` grows.
     """
-    before = operator.le if side == "right" else operator.lt
-    j = max(int(xs.searchsorted(bound + v, side)), i0)
-    while j > i0 and not before(xs[j - 1] - v, bound):
+    before = operator.le if side is bisect_right else operator.lt
+    j = side(keys, bound + v, i0)
+    while j > i0 and not before(keys[j - 1] - v, bound):
         j -= 1
-    while j < xs.size and before(xs[j] - v, bound):
+    while j < len(keys) and before(keys[j] - v, bound):
         j += 1
     return j
 
 
-def _rule_on_ascending(rule, x: np.ndarray) -> np.ndarray:
-    """Overwrite the ascending ``x`` with ``rule(x)`` one linear piece at a time; return it.
+class RetainedRow:
+    """Fills ``row`` with one rule's retained regret at the ascending ``xs``, one shade per call.
 
-    The same bits as ``np.interp(x, mids, values)``: one search cuts ``x``
-    into the rule's pieces, and each point gets its piece's
-    ``slope * (x - node) + left`` in numpy's order of operations.
+    ``fill(v)`` overwrites ``fill.row`` with ``I[x < v] x + I[x >= v] r(x - v)``
+    and returns it.  The rule is evaluated only on the winning tail's window
+    inside ``rule.support``, one linear piece at a time: ``slope * (x - node)
+    + left`` in numpy's order of operations (``PaymentRule.pieces``), the same
+    bits as ``np.interp``.  The rest of the tail is zero, which is what
+    interpolation between or past zero nodes returns.
+
+    Each call rewrites only what its shade moved.  The prefix ``xs[:i0]`` and
+    the zero fills depend on nothing but the bounds ``(i0, a, b)``, and the
+    piece arrays spread over the window on nothing but its piece counts, so
+    each is rebuilt only when those change; the window itself is refilled on
+    every call.  Assigning a new ``row`` starts it afresh.
     """
-    cuts, nodes, slopes, lefts = rule.pieces
-    at = x.searchsorted(cuts)
-    counts = at[1:] - at[:-1]
-    # the ndarray method: np.repeat's dispatch costs a third of the kernel here
-    x -= nodes.repeat(counts)
-    x *= slopes.repeat(counts)
-    x += lefts.repeat(counts)
-    return x
 
+    def __init__(self, rule, xs: np.ndarray) -> None:
+        self.rule, self.xs = rule, xs
+        # the bounds are searched with bisect on xs read in place as Python floats
+        self._keys = memoryview(xs)
+        self._counts = self._spread = None
+        self.row = np.empty(xs.size)
 
-def _retained_row(row: np.ndarray, v: float, rule, xs: np.ndarray) -> np.ndarray:
-    """Fill ``row`` in place with the retained regret at the one shade ``v``; return it.
+    @property
+    def row(self) -> np.ndarray:
+        return self._row
 
-    The rule is evaluated only inside its support, and only that window
-    of the winning tail is shifted by ``v``.
-    """
-    lo, hi = rule.support
-    i0 = int(xs.searchsorted(v))
-    a = _tail_search(xs, v, i0, lo, "right")
-    b = _tail_search(xs, v, i0, hi, "left")
-    row[:i0] = xs[:i0]
-    row[i0:a] = 0.0
-    _rule_on_ascending(rule, np.subtract(xs[a:b], v, out=row[a:b]))
-    row[b:] = 0.0
-    return row
+    @row.setter
+    def row(self, row: np.ndarray) -> None:
+        self._row, self._bounds = row, None
+
+    def __call__(self, v: float) -> np.ndarray:
+        keys, xs, row = self._keys, self.xs, self._row
+        lo, hi = self.rule.support
+        i0 = bisect_left(keys, v)
+        a = _tail_search(keys, v, i0, lo, bisect_right)
+        b = _tail_search(keys, v, i0, hi, bisect_left)
+        if (i0, a, b) != self._bounds:
+            self._bounds = i0, a, b
+            row[:i0] = xs[:i0]
+            row[i0:a] = 0.0
+            row[b:] = 0.0
+        x = np.subtract(xs[a:b], v, out=row[a:b])
+        cuts, nodes, slopes, lefts = self.rule.pieces
+        at = x.searchsorted(cuts)
+        counts = at[1:] - at[:-1]
+        key = counts.tobytes()
+        if key != self._counts:
+            self._counts = key
+            # the ndarray method: np.repeat's dispatch costs a third of the kernel here
+            self._spread = nodes.repeat(counts), slopes.repeat(counts), lefts.repeat(counts)
+        spread_nodes, spread_slopes, spread_lefts = self._spread
+        x -= spread_nodes
+        x *= spread_slopes
+        x += spread_lefts
+        return row
 
 
 def retained_integrand(s, rule, xs: np.ndarray) -> np.ndarray:
     """Retained regret ``I[x < s] x + I[x >= s] r(x - s)`` at ``xs``, one row per shade.
 
-    ``xs`` must be ascending, as ``grid.samples`` and ``grid.mids`` are.  The
-    rule is evaluated only on the winning tail ``xs >= s`` and there only
-    inside ``rule.support``; outside it the tail is zero-filled, which is the
-    value interpolation between or past zero nodes returns.  All rows fill
-    one preallocated matrix.
+    ``xs`` must be ascending, as ``grid.samples`` and ``grid.mids`` are.  One
+    :class:`RetainedRow` fills every row of one preallocated matrix.
     """
     xs = np.asarray(xs, dtype=float)
     shades = np.asarray(s, dtype=float).reshape(-1)
     out = np.empty((shades.size, xs.size))
-    for row, v in zip(out, shades):
-        _retained_row(row, v, rule, xs)
+    fill = RetainedRow(rule, xs)
+    for row, v in zip(out, shades.tolist()):
+        fill.row = row
+        fill(v)
     return out if np.ndim(s) > 0 else out[0]
 
 
@@ -240,26 +266,23 @@ def _brent_bounded(func, a: float, b: float, xatol: float) -> tuple[float, float
     return xf, fx, num
 
 
-def _best_response_with_value(rule, belief: np.ndarray, grid: Grid,
+def _best_response_with_value(fill: RetainedRow, belief: np.ndarray, grid: Grid, cands: list[float],
                               scan: np.ndarray) -> tuple[float, float]:
     """Best shade against a belief's node values and its expected retained
-    regret, given the rule's scan matrix built once by :func:`_best_responses`."""
-    xs = grid.samples
+    regret, given the scan shades and the rule's scan matrix built once by
+    :func:`_best_responses` and its row evaluator on ``grid.samples``."""
     weights = _weights(belief, grid)
-    # every Brent evaluation refills this one row
-    row = np.empty(xs.size)
 
     def objective(s: float) -> float:
-        return float(_retained_row(row, s, rule, xs) @ weights)
+        return float(fill(s) @ weights)
 
-    cands = _scan_shades(grid)
     vals = scan @ weights
 
-    pool: list[tuple[float, float]] = [(float(cands[0]), float(vals[0])), (float(cands[-1]), float(vals[-1]))]
+    pool: list[tuple[float, float]] = [(cands[0], float(vals[0])), (cands[-1], float(vals[-1]))]
     for idx in _local_minima(vals):
-        lo = float(cands[max(idx - 1, 0)])
-        hi = float(cands[min(idx + 1, len(cands) - 1)])
-        pool.append((float(cands[idx]), float(vals[idx])))
+        lo = cands[max(idx - 1, 0)]
+        hi = cands[min(idx + 1, len(cands) - 1)]
+        pool.append((cands[idx], float(vals[idx])))
         if hi > lo:
             pool.append(_brent_bounded(objective, lo, hi, _BRENT_XATOL)[:2])
 
@@ -274,12 +297,15 @@ def _best_response_with_value(rule, belief: np.ndarray, grid: Grid,
 
 def _best_responses(rule, beliefs: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Best shade and its attained objective against each row of node values in turn."""
-    # the integrand does not depend on the belief: one scan matrix serves every belief
-    scan = retained_integrand(_scan_shades(grid), rule, grid.samples)
+    cands = _scan_shades(grid).tolist()
+    # the integrand does not depend on the belief: one scan matrix serves every
+    # belief, and one row refilled by every Brent evaluation
+    scan = retained_integrand(cands, rule, grid.samples)
+    fill = RetainedRow(rule, grid.samples)
     shades = np.empty(len(beliefs))
     values = np.empty(len(beliefs))
     for b, belief in enumerate(beliefs):
-        shades[b], values[b] = _best_response_with_value(rule, belief, grid, scan)
+        shades[b], values[b] = _best_response_with_value(fill, belief, grid, cands, scan)
     return shades, values
 
 

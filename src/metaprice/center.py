@@ -68,11 +68,11 @@ class PaymentRule(Tabulated):
     kind: Kind = field(default="rule", init=False)
 
     def __post_init__(self) -> None:
+        # a -0.0 node is stored as +0.0, the value its piece gives; x + 0.0 is x for any other x
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float) + 0.0)
         super().__post_init__()
         if np.any(self.values < 0.0) or np.any(self.values > self.grid.mids):
             raise ValueError("payment rule must satisfy 0 <= r(psi) <= psi at every node")
-        # a -0.0 node is stored as +0.0, the value its piece gives; x + 0.0 is x for any other x
-        object.__setattr__(self, "values", self.values + 0.0)
 
     @cached_property
     def pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -105,7 +105,9 @@ class Tabulated:
     kind: Kind
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        # a read-only copy: the caller keeps its array, and what is cached from the values stays right
+        vals = np.array(self.values, dtype=float)
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.grid.bins,):
             raise ValueError(f"expected {self.grid.bins} node values, got shape {vals.shape}")
@@ -124,9 +126,15 @@ class Tabulated:
         return float(y) if arr.ndim == 0 else y
 
     def bin_masses(self) -> np.ndarray:
-        """Per-bin integrals of the interpolated curve (length ``bins``)."""
-        vals = self(self.grid.samples)
-        return vals.reshape(self.grid.bins, self.grid.subsamples).sum(axis=1) * self.grid.sample_width
+        """Per-bin integrals of the interpolated curve (length ``bins``), read-only."""
+        return self._bin_masses
+
+    @cached_property
+    def _bin_masses(self) -> np.ndarray:
+        grid = self.grid
+        masses = self(grid.samples).reshape(grid.bins, grid.subsamples).sum(axis=1) * grid.sample_width
+        masses.flags.writeable = False
+        return masses
 
     def mass(self) -> float:
         return float(self.bin_masses().sum())

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from metaprice.bidder import (_BRENT_XATOL, Strategy, _best_responses, _brent_bounded, _local_minima,
-                              _retained_row, _rule_on_ascending, _scan_shades, _sign,
-                              best_response_constant, deviation_incentive, regret_at_truth,
-                              retained_integrand, shade_objective)
+from metaprice.bidder import (_BRENT_XATOL, RetainedRow, Strategy, _best_responses, _brent_bounded,
+                              _local_minima, _scan_shades, _sign, best_response_constant,
+                              deviation_incentive, regret_at_truth, retained_integrand, shade_objective)
 from metaprice.blinding import information
 from metaprice.center import PaymentRule, payment_rule
 from metaprice.distributions import gpd, pdf, tabulate_pdf, uniform
@@ -160,10 +159,12 @@ class TestShadeObjective:
             landed += sum(n for _, n in edge)
             shades = np.array(common + [v for found, _ in edge for v in found])
             rows = retained_integrand(shades, rule, xs)
+            fill = RetainedRow(rule, xs)
             for s, row in zip(shades, rows):
                 masked = np.where(xs < s, xs, np.asarray(rule(xs - s), dtype=float)).tobytes()
                 assert retained_integrand(float(s), rule, xs).tobytes() == masked, (name, s)
                 assert row.tobytes() == masked, (name, s)
+                assert fill(float(s)).tobytes() == masked, (name, s)
         assert landed >= 10
 
     @pytest.mark.parametrize("name", list(WINDOW_RULES))
@@ -190,14 +191,14 @@ class TestShadeObjective:
         assert peak <= 1.25 * scan.nbytes
 
 
-def interp_bytes(rule, x):
-    """What ``np.interp`` makes of ``rule`` at ``x``, as bytes."""
-    return np.interp(x, rule.grid.mids, rule.values).tobytes()
+def fresh_bytes(rule, xs, v):
+    """A fresh fill of the retained regret at the shade ``v``, as bytes."""
+    return np.where(xs < v, xs, np.interp(xs - v, rule.grid.mids, rule.values)).tobytes()
 
 
-def pieces_bytes(rule, x):
-    """What the piecewise kernel makes of ``rule`` at a copy of ``x``, as bytes."""
-    return _rule_on_ascending(rule, np.array(x, dtype=float)).tobytes()
+def row_bytes(rule, xs, v):
+    """What a new evaluator fills in at the shade ``v``, as bytes."""
+    return RetainedRow(rule, np.asarray(xs, dtype=float))(float(v)).tobytes()
 
 
 def solve_rules(grid, rounds=3):
@@ -222,13 +223,13 @@ def random_rules(grid, rng, n=4):
 
 
 class TestRulePieces:
-    """The bidder evaluates the rule piece by piece with ``np.interp``'s bits."""
+    """The evaluator fills each row with the bits of a fresh ``np.interp`` fill."""
 
     def test_window_rules_match_interp_on_every_shade(self):
         shades = np.concatenate((_scan_shades(GRID), [-1.0, 0.123456789, 10.5]))
         for name, (rule, _) in WINDOW_RULES.items():
             for v in shades:
-                assert pieces_bytes(rule, GRID.samples - v) == interp_bytes(rule, GRID.samples - v), (name, v)
+                assert row_bytes(rule, GRID.samples, v) == fresh_bytes(rule, GRID.samples, v), (name, v)
 
     def test_solve_rules_match_interp(self):
         # each round's rule of a 3-round sigma-2 solve and its damped average
@@ -238,10 +239,8 @@ class TestRulePieces:
         for i, rule in enumerate(rules):
             rows = retained_integrand(shades, rule, GRID.samples)
             for v, row in zip(shades, rows):
-                window = GRID.samples - v
-                assert pieces_bytes(rule, window) == interp_bytes(rule, window), (i, v)
-                masked = np.where(GRID.samples < v, GRID.samples, np.interp(window, GRID.mids, rule.values))
-                assert row.tobytes() == masked.tobytes(), (i, v)
+                assert row.tobytes() == fresh_bytes(rule, GRID.samples, v), (i, v)
+                assert row_bytes(rule, GRID.samples, v) == fresh_bytes(rule, GRID.samples, v), (i, v)
 
     @pytest.mark.parametrize("lower, upper, bins", [(0, 10, 30), (0, 10, 50), (0, 10, 200), (0, 7, 30),
                                                     (0, 7, 50)])
@@ -252,10 +251,10 @@ class TestRulePieces:
         shades = np.concatenate((_scan_shades(grid), rng.uniform(-1.0, upper + 1.0, 20)))
         for rule in random_rules(grid, rng):
             rows = retained_integrand(shades, rule, xs)
+            fill = RetainedRow(rule, xs)
             for v, row in zip(shades, rows):
-                assert pieces_bytes(rule, xs - v) == interp_bytes(rule, xs - v), v
-                masked = np.where(xs < v, xs, np.interp(xs - v, grid.mids, rule.values))
-                assert row.tobytes() == masked.tobytes(), v
+                assert row.tobytes() == fresh_bytes(rule, xs, v), v
+                assert fill(float(v)).tobytes() == fresh_bytes(rule, xs, v), v
 
     @pytest.mark.parametrize("grid", [GRID, make_grid(0, 7, 30, 200)], ids=["0_10_50", "0_7_30"])
     def test_points_exactly_on_every_node(self, grid):
@@ -268,18 +267,18 @@ class TestRulePieces:
             assert n > 0, j
             landed += n
             for v in shades:
-                window = xs - v
                 for rule in rules:
-                    assert pieces_bytes(rule, window) == interp_bytes(rule, window), (j, v)
+                    assert row_bytes(rule, xs, v) == fresh_bytes(rule, xs, v), (j, v)
         assert landed >= grid.bins
 
     def test_windows_of_one_point_and_none(self):
         rules = [rule for rule, _ in WINDOW_RULES.values()] + random_rules(GRID, np.random.default_rng(3))
         points = [-1.0, 0.0, GRID.mids[0], GRID.mids[0] + 0.01, GRID.mids[17], GRID.mids[-1], 9.99, 10.0, 11.0]
         for rule in rules:
-            assert _rule_on_ascending(rule, np.empty(0)).size == 0
+            assert RetainedRow(rule, np.empty(0))(0.5).size == 0
             for x in points:
-                assert pieces_bytes(rule, [x]) == interp_bytes(rule, [x]), x
+                for v in (-1.0, 0.0, x - 0.01, x, x + 0.01):
+                    assert row_bytes(rule, [x], v) == fresh_bytes(rule, np.array([x]), v), (x, v)
 
     def test_negative_zero_nodes_are_stored_as_positive_zero(self):
         # np.interp returns a -0.0 node as -0.0 where it is hit exactly, the
@@ -290,8 +289,50 @@ class TestRulePieces:
         for rule in (payment_rule(GRID, vals), PaymentRule(GRID, vals)):
             assert not np.any(np.signbit(rule.values))
             assert np.array_equal(rule.values, vals)
-            assert pieces_bytes(rule, hits) == interp_bytes(rule, hits)
-            assert pieces_bytes(rule, GRID.samples - 0.3) == interp_bytes(rule, GRID.samples - 0.3)
+            assert row_bytes(rule, hits, 0.0) == fresh_bytes(rule, hits, 0.0)
+            assert row_bytes(rule, GRID.samples, 0.3) == fresh_bytes(rule, GRID.samples, 0.3)
+
+
+def window_state(rule, xs, v):
+    """``(i0, a, b)`` and the window's piece counts at the shade ``v``, found
+    with ``np.searchsorted`` on the computed ``xs - v``."""
+    lo, hi = rule.support
+    i0 = int(np.searchsorted(xs, v))
+    tail = xs[i0:] - v
+    a = i0 + int(np.searchsorted(tail, lo, "right"))
+    b = i0 + int(np.searchsorted(tail, hi, "left"))
+    return (i0, a, b), np.diff(np.searchsorted(tail[a - i0:b - i0], rule.pieces[0])).tobytes()
+
+
+def shade_walk(xs, support):
+    """Shades that move one evaluator in every way the fills it keeps can meet."""
+    dx, v0 = float(xs[1] - xs[0]), float(GRID.mids[17])
+    walk = [v0, v0]  # the same shade twice
+    walk += [v0 + k * dx / 8 for k in range(1, 8)]  # steps below the sample spacing
+    walk += [v0 + dx, v0 + 2 * dx, v0 + 2.5 * dx]  # steps across a sample
+    walk += [v0 + k * dx / 8 for k in range(7, 0, -1)]  # steps backwards
+    # onto every cut and support bound, each run starting below where the last ended
+    for bound in [*GRID.mids, *(b for b in support if math.isfinite(b))]:
+        walk += landing_shades(xs, bound)[0]
+    return walk + [GRID.upper, -1.0, GRID.upper + 1.0, 0.0, v0]  # long jumps, back and forth
+
+
+def test_one_evaluator_through_shade_walks_matches_fresh_fills():
+    # one evaluator keeps its prefix, zeros and spread piece arrays between
+    # calls; after every step the row must equal a fresh fill bit for bit
+    rules = [(name, rule) for name, (rule, _) in WINDOW_RULES.items()]
+    rules += [(f"solve_{i}", rule) for i, rule in enumerate(solve_rules(GRID))]
+    xs, seen = GRID.samples, set()
+    for name, rule in rules:
+        fill, last = RetainedRow(rule, xs), None
+        for v in shade_walk(xs, rule.support):
+            assert fill(v).tobytes() == fresh_bytes(rule, xs, v), (name, v)
+            state = window_state(rule, xs, v)
+            if last is not None:
+                seen.add((state[0] == last[0], state[1] == last[1]))
+            last = state
+    # every combination of kept and moved bounds and piece counts was met
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def scipy_bounded(func, lo, hi, xatol):
@@ -332,10 +373,10 @@ class TestBrentPort:
         rule = small_rule(4.0)
         xs = GRID.samples
         weights = np.interp(xs, GRID.mids, belief) * GRID.sample_width
-        row = np.empty(xs.size)
+        fill = RetainedRow(rule, xs)
 
         def objective(s):
-            return float(_retained_row(row, s, rule, xs) @ weights)
+            return float(fill(s) @ weights)
 
         cands = _scan_shades(GRID)
         basins = [(float(cands[max(i - 1, 0)]), float(cands[min(i + 1, len(cands) - 1)]))

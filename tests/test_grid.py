@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from metaprice.center import PaymentRule, payment_rule
 from metaprice.grid import Tabulated, integrate, make_grid
 from metaprice.distributions import gpd, pdf
 
@@ -119,3 +120,44 @@ def test_subsample_refinement_stability():
     fine = integrate(lambda x: x * pdf(f, x), make_grid(0, 10, 50, 400))
     assert abs(fine - coarse) / abs(fine) < 1e-4
 
+
+
+@pytest.mark.parametrize("kind", ["density", "rule", "strategy"])
+def test_bin_masses_are_the_direct_sum_computed_once_and_read_only(kind):
+    grid = make_grid(0, 7, 30, 17)
+    tab = Tabulated(grid, np.random.RandomState(3).uniform(0.0, 2.0, size=30), kind)
+    direct = tab(grid.samples).reshape(grid.bins, grid.subsamples).sum(axis=1) * grid.sample_width
+    masses = tab.bin_masses()
+    assert masses.tobytes() == direct.tobytes()
+    assert tab.bin_masses() is masses
+    assert not masses.flags.writeable
+    with pytest.raises(ValueError):
+        masses[0] = 1.0
+
+
+def test_values_are_a_read_only_copy():
+    grid = make_grid(0, 10, 50, 10)
+    values = np.full(50, 0.1)
+    tab = Tabulated(grid, values, "density")
+    with pytest.raises(ValueError):
+        tab.values[3] = 0.5
+    # the caller's array stays writable, and writing to it leaves the table as built
+    values[3] = 0.5
+    assert values.flags.writeable
+    assert np.all(tab.values == 0.1)
+    assert tab.mass() == pytest.approx(1.0)
+
+
+def test_normalized_and_rules_on_read_only_values():
+    grid = make_grid(0, 10, 50, 200)
+    tab = Tabulated(grid, np.full(50, 0.3), "density")
+    unit = tab.normalized()
+    assert unit.mass() == pytest.approx(1.0, abs=1e-12)
+    assert not unit.values.flags.writeable
+    # a rule stores a -0.0 node as +0.0, read-only like any table
+    vals = np.where(np.arange(50) % 2 == 0, -0.0, 0.5 * grid.mids)
+    for rule in (PaymentRule(grid, vals), payment_rule(grid, vals)):
+        assert not np.any(np.signbit(rule.values))
+        assert not rule.values.flags.writeable
+        assert np.array_equal(rule.values, vals)
+    assert np.all(np.signbit(vals[::2]))
