@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,39 +28,28 @@ _BRENT_XATOL = 1e-10
 _BRENT_MAXFUN = 500
 
 
-@dataclass(frozen=True)
 class Strategy:
-    """A shade: either a single constant or a tabulated function of psi."""
+    """Checked shade profiles from outside input.  A shade profile is the shade at each
+    grid midpoint: a ``(bins,)`` array, or one float meaning that shade at every node."""
 
-    constant: float | None = None
-    table: Tabulated | None = None
-
-    def __post_init__(self) -> None:
-        if (self.constant is None) == (self.table is None):
-            raise ValueError("strategy needs exactly one of constant or table")
-        if self.constant is not None and not self.constant >= 0.0:
+    @staticmethod
+    def const(s: float) -> float:
+        """The constant shade ``s``; rejects a negative or NaN one."""
+        s = float(s)
+        if not s >= 0.0:
             raise ValueError("constant shade must be >= 0")
-        if self.table is not None:
-            if self.table.kind != "strategy":
-                raise ValueError("functional strategy must use a 'strategy' tabulation")
-            if np.any(self.table.values < 0.0):
-                raise ValueError("shade values must be >= 0")
-            if np.any(self.table.values > self.table.grid.upper):
-                raise ValueError("shade values cannot exceed the grid range")
+        return s
 
-    @classmethod
-    def const(cls, s: float) -> "Strategy":
-        return cls(constant=float(s))
-
-    @classmethod
-    def functional(cls, table: Tabulated) -> "Strategy":
-        return cls(table=table)
-
-    def shade_at(self, psi) -> np.ndarray:
-        arr = np.asarray(psi, dtype=float)
-        if self.constant is not None:
-            return np.full_like(arr, self.constant)
-        return np.asarray(self.table(arr), dtype=float)
+    @staticmethod
+    def functional(table: Tabulated) -> np.ndarray:
+        """The node values of a ``"strategy"`` tabulation, each in ``[0, upper]``."""
+        if table.kind != "strategy":
+            raise ValueError("functional strategy must use a 'strategy' tabulation")
+        if np.any(table.values < 0.0):
+            raise ValueError("shade values must be >= 0")
+        if np.any(table.values > table.grid.upper):
+            raise ValueError("shade values cannot exceed the grid range")
+        return table.values
 
 
 def _tail_search(keys, v: float, i0: int, bound: float, side) -> int:
@@ -176,8 +164,9 @@ def _local_minima(values: np.ndarray) -> np.ndarray:
 
 
 def _scan_shades(grid: Grid) -> np.ndarray:
-    """Shades of the grid scan: both range ends and every bin midpoint."""
-    return np.unique(np.concatenate(([grid.lower], grid.mids, [grid.upper])))
+    """Shades of the grid scan over ``[0, upper]``: zero, every bin midpoint and ``upper``;
+    below ``grid.lower`` a bid wins at every profit."""
+    return np.unique(np.concatenate(([0.0], grid.mids, [grid.upper])))
 
 
 def _sign(t: float) -> float:
@@ -335,7 +324,7 @@ def deviation_incentive(rule, truth: float, signal_density: Tabulated, beliefs: 
     pairs them; one ex-ante value holds at every signal.  Nonnegative up to
     quadrature error: ``truth`` integrates the exact pdf while the bidder's
     values use the tabulated ``f``, so the difference can dip below zero
-    (ROADMAP item 6).
+    (ROADMAP item 10).
     """
     _, values = _best_responses(rule, beliefs, grid)
     xs = grid.samples

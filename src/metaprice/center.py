@@ -21,7 +21,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .bidder import Strategy
 from .distributions import DistributionSpec, cdf, mean
 from .grid import Grid, Kind, Tabulated
 
@@ -110,17 +109,18 @@ def payment_rule(grid: Grid, values) -> PaymentRule:
     return PaymentRule(grid, np.clip(np.asarray(values, dtype=float), 0.0, grid.mids))
 
 
-def constraint_weights(strategy: Strategy, constraint_density: Tabulated, grid: Grid) -> np.ndarray:
+def constraint_weights(shades: float | np.ndarray, constraint_density: Tabulated, grid: Grid) -> np.ndarray:
     """Budget-row weights ``w`` with the constraint reading ``sum w_b r_b >= k``.
 
-    Each bin's mass is moved to the shaded report position ``mid_b - s(mid_b)``
-    and split onto the two adjacent rule nodes with linear weights.  Mass
-    shifted below zero is a lost bid and contributes nothing; positions above
-    the top node clamp onto it.
+    ``shades`` is the shade profile: the shade at each node, a ``(bins,)``
+    array or one float for all of them.  Each bin's mass is moved to the
+    shaded report position ``mid_b - s_b`` and split onto the two adjacent
+    rule nodes with linear weights.  Mass shifted below zero is a lost bid
+    and contributes nothing; positions above the top node clamp onto it.
     """
     masses = constraint_density.bin_masses()
     mids = grid.mids
-    shifted = mids - strategy.shade_at(mids)
+    shifted = mids - shades
     w = np.zeros(grid.bins)
     won = shifted >= 0.0
     pos = shifted[won]
@@ -174,26 +174,25 @@ def _greedy_fill(c: np.ndarray, w: np.ndarray, ub: np.ndarray, k: float) -> np.n
 
 
 def solve_center(objective_density: Tabulated, constraint_density: Tabulated,
-                 strategy: Strategy, budget: Budget, grid: Grid) -> PaymentRule:
+                 shades: float | np.ndarray, budget: Budget, grid: Grid) -> PaymentRule:
     """Payment rule minimizing expected regret at truth subject to the budget.
 
     Raises :class:`InfeasibleBudgetError` when ``k`` exceeds the maximum
-    collectible amount within the envelope at the given strategy.
+    collectible amount within the envelope at the given shade profile.
     """
     c = objective_density.bin_masses()
-    w = constraint_weights(strategy, constraint_density, grid)
+    w = constraint_weights(shades, constraint_density, grid)
     r = _greedy_fill(c, w, grid.mids, budget.k)
     return payment_rule(grid, r)
 
 
-def ratio_diagnostics(f: DistributionSpec, strategy: Strategy, grid: Grid) -> np.ndarray:
-    """Per-bin mass ratio driving the fill order.
+def ratio_diagnostics(f: DistributionSpec, s: float | np.ndarray, grid: Grid) -> np.ndarray:
+    """Per-bin mass ratio driving the fill order at the shade profile ``s``.
 
-    ``rho_b = [F(hi_b + s) - F(lo_b + s)] / [F(hi_b) - F(lo_b)]`` with the
+    ``rho_b = [F(hi_b + s_b) - F(lo_b + s_b)] / [F(hi_b) - F(lo_b)]`` with the
     cdf saturating at the truncation boundary; bins with zero base mass map
     to inf (collectible for free) or 0.
     """
-    s = strategy.shade_at(grid.mids)
     base = np.asarray(cdf(f, grid.edges[1:]), dtype=float) - np.asarray(cdf(f, grid.edges[:-1]), dtype=float)
     shifted = (np.asarray(cdf(f, grid.edges[1:] + s), dtype=float)
                - np.asarray(cdf(f, grid.edges[:-1] + s), dtype=float))
@@ -203,7 +202,7 @@ def ratio_diagnostics(f: DistributionSpec, strategy: Strategy, grid: Grid) -> np
     return rho
 
 
-def collected(rule: PaymentRule, strategy: Strategy, constraint_density: Tabulated, grid: Grid) -> float:
-    """Amount the budget row actually collects: ``w(strategy) . r``."""
-    w = constraint_weights(strategy, constraint_density, grid)
+def collected(rule: PaymentRule, shades: float | np.ndarray, constraint_density: Tabulated, grid: Grid) -> float:
+    """Amount the budget row actually collects at the shade profile: ``w(shades) . r``."""
+    w = constraint_weights(shades, constraint_density, grid)
     return float(np.dot(w, rule.values))

@@ -192,14 +192,12 @@ def read_rule_csv(path: str | Path, grid: Grid) -> PaymentRule:
 def write_artifacts(outdir: Path, trace: EquilibriumTrace, f: DistributionSpec, grid: Grid,
                     config: ExperimentConfig) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
-    rule = trace.rule
-    strategy = trace.strategy
-    shades = strategy.shade_at(grid.mids)
+    rule, shades = trace.rule, trace.strategy
 
     _write_csv(outdir / "rule.csv", ["psi", "payment_above_critical"],
                zip(grid.mids, rule.values))
     _write_csv(outdir / "strategy.csv", ["psi", "shade"], zip(grid.mids, shades))
-    rho = ratio_diagnostics(f, strategy, grid)
+    rho = ratio_diagnostics(f, shades, grid)
     _write_csv(outdir / "ratio.csv", ["psi", "ratio"],
                zip(grid.mids, np.nan_to_num(rho, posinf=np.finfo(float).max)))
 
@@ -216,11 +214,11 @@ def write_artifacts(outdir: Path, trace: EquilibriumTrace, f: DistributionSpec, 
         "rounds": trace.n_rounds,
         "k_vcg": trace.budget.k_vcg,
         "k": trace.budget.k,
-        "shade": strategy.constant,
+        "shade": float(shades[0]) if trace.config.mode == "exante" else None,
         "shade_nodes": [float(v) for v in shades],
         "deviation_incentive": deviation_incentive(rule, truth, trace.signal_density, trace.beliefs, grid),
         "regret_at_truth": truth,
-        "collected": collected(rule, strategy, trace.constraint_density, grid),
+        "collected": collected(rule, shades, trace.constraint_density, grid),
     })
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)

@@ -15,7 +15,7 @@ from typing import Literal
 
 import numpy as np
 
-from .bidder import Strategy, _best_responses
+from .bidder import _best_responses
 from .blinding import information
 from .center import Budget, PaymentRule, payment_rule, solve_center
 from .distributions import DistributionSpec
@@ -73,7 +73,7 @@ class EquilibriumTrace:
     rounds: list[Round] = field(default_factory=list)
     converged: bool = False
     rule: PaymentRule | None = None
-    strategy: Strategy | None = None
+    strategy: np.ndarray | None = None  # (bins,) shade nodes, constant ex ante
 
     @property
     def n_rounds(self) -> int:
@@ -100,8 +100,7 @@ def find_equilibrium(f: DistributionSpec, config: EquilibriumConfig, grid: Grid)
     s_bar = np.zeros(grid.bins)
 
     for _ in range(config.max_rounds):
-        damped_strategy = Strategy.functional(Tabulated(grid, s_bar, "strategy"))
-        rule_t = solve_center(signal_density, constraint_density, damped_strategy, budget, grid)
+        rule_t = solve_center(signal_density, constraint_density, s_bar, budget, grid)
         s_t, _ = _best_responses(rule_t, beliefs, grid)
 
         r_next = (1.0 - alpha) * r_bar + alpha * rule_t.values
@@ -115,8 +114,7 @@ def find_equilibrium(f: DistributionSpec, config: EquilibriumConfig, grid: Grid)
             break
 
     trace.rule = payment_rule(grid, r_bar)
-    trace.strategy = (Strategy.functional(Tabulated(grid, s_bar, "strategy")) if blinded
-                      else Strategy.const(s_bar[0]))
+    trace.strategy = s_bar
     return trace
 
 
@@ -132,6 +130,6 @@ def format_report(trace: EquilibriumTrace) -> str:
     ]
     for i, rnd in enumerate(trace.rounds, 1):
         lines.append(f"{i:5d}  {rnd.r_delta:<12.6g}  {rnd.s_delta:<12.6g}")
-    if trace.strategy is not None and trace.strategy.constant is not None:
-        lines.append(f"final shade: {trace.strategy.constant:.6g}")
+    if cfg.mode == "exante":
+        lines.append(f"final shade: {trace.strategy[0]:.6g}")
     return "\n".join(lines)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bidder import Strategy, best_response_constant, deviation_incentive, regret_at_truth, shade_objective
+from .bidder import best_response_constant, deviation_incentive, regret_at_truth, shade_objective
 from .blinding import information
 from .center import Budget, InfeasibleBudgetError, PaymentRule, collected, constraint_weights, payment_rule
 from .distributions import DistributionSpec, tabulate_pdf
@@ -58,15 +58,16 @@ def realize(family: str, param: float, grid: Grid) -> ReferenceRule:
     return ReferenceRule(family, float(param), payment_rule(grid, _node_values(family, param, grid)))
 
 
-def calibrate(family: str, f: DistributionSpec, strategy: Strategy, budget: Budget, grid: Grid) -> ReferenceRule:
-    """Pick the family parameter so the budget constraint binds.
+def calibrate(family: str, f: DistributionSpec, shades: float | np.ndarray, budget: Budget,
+              grid: Grid) -> ReferenceRule:
+    """Pick the family parameter so the budget constraint binds at the shade profile.
 
     The collected amount is continuous and monotone in the parameter, so
     plain bisection lands within ``1e-6 * k`` of the target.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown reference family {family!r}")
-    w = constraint_weights(strategy, tabulate_pdf(f, grid), grid)
+    w = constraint_weights(shades, tabulate_pdf(f, grid), grid)
     k = budget.k
 
     degenerate = {"vcg": 0.0, "threshold": 0.0, "small": grid.upper, "large": grid.lower}
@@ -131,6 +132,6 @@ def diagnose(rule: PaymentRule, f: DistributionSpec, mu_sigma: float | None, gri
         deviation_incentive=deviation_incentive(rule, truth, signal_density, beliefs, grid),
         best_response_shade=s_star,
         retained_at_best_response=shade_objective(s_star, rule, ftab, grid),
-        collected_at_truth=collected(rule, Strategy.const(0.0), ftab, grid),
-        collected_at_strategy=collected(rule, Strategy.const(s_star), ftab, grid),
+        collected_at_truth=collected(rule, 0.0, ftab, grid),
+        collected_at_strategy=collected(rule, s_star, ftab, grid),
     )

@@ -220,7 +220,7 @@ def test_criterion_02_budget_sweep():
             ok = False
             lines.append(f"gamma {gamma}: infeasible ({exc})")
             continue
-        shade = shades[gamma] = trace.strategy.constant
+        shade = shades[gamma] = float(trace.strategy[0])
         cert = exante_certificate(1.0, gamma)
         brackets = cert.sign_changes()
         near = [(a, b) for a, b in brackets if a - CERT_STEP <= shade <= b + CERT_STEP]
@@ -449,7 +449,7 @@ def test_criterion_09_vcg_fixed_point():
     """gamma = 0 yields the exact VCG fixed point: zero rule, zero shade, zero incentive."""
     trace = run_exante(F_PARETO, 0.0)
     rule = trace.rule
-    shade = trace.strategy.constant
+    shade = float(trace.strategy[0])
     ftab = tabulate_pdf(F_PARETO, GRID)
     di_exante = regret_at_truth(rule, F_PARETO, GRID) - shade_objective(shade, rule, ftab, GRID)
     di_blinded = blinded_regret_di(rule, F_PARETO, 5.0, GRID)
@@ -489,7 +489,7 @@ def acceptance_scalar_battery(subsamples):
                                                 - blinded_regret_di(small, f, sigma, grid))
 
     trace = find_equilibrium(f, EquilibriumConfig(mode="exante", gamma=0.25), grid)
-    shade = trace.strategy.constant
+    shade = float(trace.strategy[0])
     scalars["eq_shade"] = shade
     scalars["eq_regret"] = regret_at_truth(trace.rule, f, grid)
     scalars["eq_collected"] = collected(trace.rule, trace.strategy, ftab, grid)

@@ -79,22 +79,24 @@ WINDOW_RULES = {
 
 
 class TestStrategy:
-    def test_exactly_one_variant(self):
-        with pytest.raises(ValueError):
-            Strategy()
-        with pytest.raises(ValueError):
-            Strategy(constant=1.0, table=Tabulated(GRID, np.zeros(50), "strategy"))
-
     def test_negative_shade_rejected(self):
         with pytest.raises(ValueError):
             Strategy.const(-0.5)
         with pytest.raises(ValueError):
             Strategy.functional(Tabulated(GRID, np.full(50, -1.0), "strategy"))
 
-    def test_shade_at(self):
-        assert np.allclose(Strategy.const(0.7).shade_at(GRID.mids), 0.7)
+    def test_nan_and_out_of_range_shades_rejected(self):
+        with pytest.raises(ValueError):
+            Strategy.const(math.nan)
+        with pytest.raises(ValueError, match="grid range"):
+            Strategy.functional(Tabulated(GRID, np.full(50, GRID.upper + 0.1), "strategy"))
+
+    def test_constructors_return_node_values(self):
+        # a constant is one float for every node; a table is its node values
+        shade = Strategy.const(np.float64(0.7))
+        assert type(shade) is float and shade == 0.7
         tab = Tabulated(GRID, GRID.mids * 0.5, "strategy")
-        assert Strategy.functional(tab).shade_at(5.1) == pytest.approx(2.55)
+        assert Strategy.functional(tab).tobytes() == tab.values.tobytes() == tab(GRID.mids).tobytes()
 
 
 class TestShadeObjective:
@@ -416,6 +418,20 @@ class TestBestResponseConstant:
         # no-loss objective; the scan must return exactly zero
         belief = tabulate_pdf(gpd(0, 1, 0.0, 0, 10), GRID)
         assert best_response_constant(ZERO_RULE, belief, GRID) == 0.0
+
+    def test_scan_reaches_shades_below_the_window(self):
+        # shades range over [0, upper]; below lower = 2 the bidder wins at every profit
+        grid = make_grid(2, 10, 40, 100)
+        ftab = tabulate_pdf(gpd(0, 1, 1.0, 2, 10), grid)
+        assert _scan_shades(grid)[0] == 0.0
+        large = realize("large", 2.5, grid).realized
+        assert best_response_constant(large, ftab, grid) == 0.0
+        assert shade_objective(0.0, large, ftab, grid) < shade_objective(grid.lower, large, ftab, grid)
+        # threshold 1 charges 1 at every profit, so the objective is flat on
+        # [0, 2] and the tie rule gives its smallest shade
+        threshold = realize("threshold", 1.0, grid).realized
+        assert shade_objective(0.0, threshold, ftab, grid) == shade_objective(grid.lower, threshold, ftab, grid)
+        assert best_response_constant(threshold, ftab, grid) == 0.0
 
 
 class TestBestResponseFunctional:

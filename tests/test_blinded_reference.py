@@ -40,7 +40,7 @@ def solve(mu_sigma: float, w_sigma: float) -> dict:
                     "shades": rnd.shades.tolist()}
                    for rnd in trace.rounds],
         "rule": trace.rule.values.tolist(),
-        "shades": trace.strategy.table.values.tolist(),
+        "shades": trace.strategy.tolist(),
     }
 
 

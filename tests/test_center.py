@@ -10,7 +10,7 @@ from metaprice.center import _greedy_fill
 from metaprice.cli import _write_csv, read_rule_csv
 from metaprice.distributions import burr_xii, fit_empirical, gpd, tabulate_pdf, uniform
 from metaprice.grid import Tabulated, make_grid
-from metaprice.rules import realize
+from metaprice.rules import calibrate, realize
 
 GRID = make_grid(0, 10, 50, 200)
 F_PARETO = gpd(0, 1, 1.0, 0, 10)
@@ -259,6 +259,34 @@ class TestGreedyAgainstOracle:
             r = _greedy_fill(c, w, ub, k)
             interior = np.sum((r > 1e-12) & (r < ub - 1e-12))
             assert interior <= 1
+
+
+class TestShadeProfile:
+    """A shade profile is node values: a checked constant, the same float and
+    the full array give the same bytes everywhere the center reads one."""
+
+    @staticmethod
+    def outputs(shades) -> list[bytes]:
+        budget = Budget.from_gamma(0.2, F_PARETO, GRID)
+        rule = solve_center(F_TAB, F_TAB, shades, budget, GRID)
+        out = [constraint_weights(shades, F_TAB, GRID).tobytes(), rule.values.tobytes(),
+               np.float64(collected(rule, shades, F_TAB, GRID)).tobytes(),
+               ratio_diagnostics(F_PARETO, shades, GRID).tobytes()]
+        for family in ("threshold", "small", "large"):
+            out.append(calibrate(family, F_PARETO, shades, budget, GRID).realized.values.tobytes())
+        return out
+
+    @pytest.mark.parametrize("c", [0.0, 0.13, GRID.width, 0.4])
+    def test_constant_forms_agree(self, c):
+        checked = self.outputs(Strategy.const(c))
+        assert self.outputs(c) == checked
+        assert self.outputs(np.full(GRID.bins, c)) == checked
+
+    def test_table_and_its_node_values_agree(self):
+        tab = Tabulated(GRID, np.clip(0.1 + 0.05 * GRID.mids, 0.0, 0.5), "strategy")
+        assert self.outputs(Strategy.functional(tab)) == self.outputs(tab.values)
+        # the table evaluated at its own nodes returns its node values
+        assert self.outputs(tab(GRID.mids)) == self.outputs(tab.values)
 
 
 class TestRatioMethod:

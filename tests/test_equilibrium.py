@@ -50,7 +50,8 @@ def test_vcg_fixed_point_in_one_round():
     assert trace.converged
     assert trace.n_rounds == 1
     assert np.all(trace.rule.values == 0.0)
-    assert trace.strategy.constant == 0.0
+    assert trace.strategy.shape == (GRID.bins,)
+    assert np.all(trace.strategy == 0.0)
 
 
 def test_exante_converges_and_reports_small_shade():
@@ -58,7 +59,9 @@ def test_exante_converges_and_reports_small_shade():
     trace = find_equilibrium(F_PARETO, cfg, GRID)
     assert trace.converged
     assert trace.n_rounds <= 50
-    assert 0.05 <= trace.strategy.constant <= 0.15
+    # ex ante the shade profile is one shade at every node
+    assert np.all(trace.strategy == trace.strategy[0])
+    assert 0.05 <= trace.strategy[0] <= 0.15
     last = trace.rounds[-1]
     assert last.r_delta <= cfg.tolerance
     assert last.s_delta <= cfg.tolerance
@@ -73,7 +76,7 @@ def test_intermediate_rules_satisfy_envelope_and_budget():
         assert np.all(vals >= 0.0)
         assert np.all(vals <= GRID.mids)
         # BB binds at the damped strategy the round was solved against
-        got = collected(rnd.rule, Strategy.const(sbar), F_TAB, GRID)
+        got = collected(rnd.rule, sbar, F_TAB, GRID)
         assert got >= trace.budget.k - 1e-9
         sbar = (1 - cfg.alpha) * sbar + cfg.alpha * rnd.shades[0]
     # the damped final rule stays inside the envelope (convexity)
@@ -109,7 +112,7 @@ def test_trace_is_deterministic():
     t1 = find_equilibrium(F_PARETO, cfg, GRID)
     t2 = find_equilibrium(F_PARETO, cfg, GRID)
     assert t1.n_rounds == t2.n_rounds
-    assert t1.strategy.constant == t2.strategy.constant
+    assert t1.strategy.tobytes() == t2.strategy.tobytes()
     for a, b in zip(t1.rounds, t2.rounds):
         assert np.array_equal(a.rule.values, b.rule.values)
         assert a.s_delta == b.s_delta
@@ -119,7 +122,7 @@ def test_approximate_mutual_best_response_at_convergence():
     cfg = EquilibriumConfig(mode="exante", gamma=0.25)
     trace = find_equilibrium(F_PARETO, cfg, GRID)
     assert trace.converged
-    s_bar = trace.strategy.constant
+    s_bar = float(trace.strategy[0])
     r_bar = trace.rule
     # bidder side: the reported shade is within tolerance of optimal
     s_opt = best_response_constant(r_bar, F_TAB, GRID)
@@ -129,10 +132,10 @@ def test_approximate_mutual_best_response_at_convergence():
     # center side: re-solving against the final strategy improves the
     # objective by at most a tolerance-level amount
     masses = F_TAB.bin_masses()
-    re_solved = solve_center(F_TAB, F_TAB, Strategy.const(s_bar), trace.budget, GRID)
+    re_solved = solve_center(F_TAB, F_TAB, s_bar, trace.budget, GRID)
     obj_bar = float(np.dot(masses, r_bar.values))
     obj_opt = float(np.dot(masses, re_solved.values))
-    slack = collected(r_bar, Strategy.const(s_bar), F_TAB, GRID) - trace.budget.k
+    slack = collected(r_bar, s_bar, F_TAB, GRID) - trace.budget.k
     assert obj_bar - obj_opt <= 5 * cfg.tolerance + max(slack, 0.0)
 
 
@@ -150,7 +153,7 @@ def test_blinded_equilibrium_shades_increase_with_profit():
     cfg = EquilibriumConfig(mode="blinded", gamma=0.2, mu_sigma=2.0, w_sigma=2.0,
                             alpha=0.2, tolerance=0.05)
     trace = find_equilibrium(F_PARETO, cfg, SMALL)
-    shades = trace.strategy.table.values
+    shades = trace.strategy
     assert np.all(shades >= 0.0)
     third = len(shades) // 3
     assert shades[-third:].mean() > shades[:third].mean()
@@ -186,7 +189,7 @@ for config in (EquilibriumConfig(mode="blinded", mu_sigma=2.0, w_sigma=2.0, max_
     trace = find_equilibrium(f, config, grid)
     for rnd in trace.rounds:
         print(rnd.rule.values.tobytes().hex(), rnd.shades.tobytes().hex(), rnd.r_delta.hex(), rnd.s_delta.hex())
-    print(trace.rule.values.tobytes().hex(), trace.strategy.shade_at(grid.mids).tobytes().hex())
+    print(trace.rule.values.tobytes().hex(), trace.strategy.tobytes().hex())
 """
 
 

@@ -1,4 +1,4 @@
-"""Package surface: public exports and the benchmark's tracing targets resolve."""
+"""Package surface: public exports resolve, and the benchmark traces and calls what the package has."""
 
 import importlib
 import importlib.util
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import metaprice
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS_PATH = BENCH / "spans.py"
 # Targets deleted on purpose that the benchmark still lists; a traced run
 # reports their layers as absent.  An entry goes when the benchmark drops it.
 RETIRED_TARGETS = {("metaprice.bidder", "blinded_regret_DI"),
@@ -60,3 +61,11 @@ def test_cli_import_leaves_out_scipy_optimize():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_benchmark_smoke_and_oracle_tests_pass():
+    # the benchmark's own smoke tests run each workload for one pass on a
+    # 10-bin grid through the package's API; they write under .bench_out/
+    proc = subprocess.run([sys.executable, str(BENCH / "selftest.py"), "SmokeTest", "OracleTest"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-4000:]

@@ -12,7 +12,10 @@ the round, and the final rule and shade nodes of a solve that returns, as
 ``repr`` floats.  So a change that moves any iterate or belief shows, even
 when the written artifacts round it away or the trajectories coincide, and
 a solve that ends in an infeasible budget still records the rounds it
-played.  Every artifact file, exit code, stdout and stderr is compared byte
+played.  The final shades are ``trace.strategy`` where that is an array of
+node values, and ``trace.strategy.shade_at(mids)`` where it is a strategy
+object, so the recorder reads a base from before or after shade profiles
+became plain arrays.  Every artifact file, exit code, stdout and stderr is compared byte
 for byte, with stdout's ``runtime:`` line (wall time) left out.
 Prints each difference and exits 1 if there is one, 0 otherwise.  A
 differing ``summary.json`` is shown key by key with the base value, the
@@ -101,8 +104,10 @@ def recording_round(*args, **kwargs):
 def recording(*args, **kwargs):
     solves.append({"rounds": []})
     trace = solve(*args, **kwargs)
-    solves[-1].update(rule=trace.rule.values.tolist(),
-                      shades=trace.strategy.shade_at(trace.rule.grid.mids).tolist())
+    strategy = trace.strategy
+    # the shade nodes as an array, or an object that evaluates them at the nodes
+    shades = strategy if isinstance(strategy, np.ndarray) else strategy.shade_at(trace.rule.grid.mids)
+    solves[-1].update(rule=trace.rule.values.tolist(), shades=shades.tolist())
     return trace
 
 cli.find_equilibrium, equilibrium.Round = recording, recording_round
