@@ -169,6 +169,51 @@ def _scan_shades(grid: Grid) -> np.ndarray:
     return np.unique(np.concatenate(([0.0], grid.mids, [grid.upper])))
 
 
+class KeptScan:
+    """The bidder's grid scan kept for one solve: the scan shades, their
+    ``(shades, samples)`` matrix of retained regret under the last rule, and
+    each belief's quadrature weights, built once.
+
+    A row sits at a fixed shade, so which of its samples fall in which of the
+    rule's linear pieces depends on the grid alone.  ``update(rule)`` fills the
+    matrix through :class:`RetainedRow` for the first rule; for a later one it
+    rewrites only the pieces whose ``(slope, left)`` bytes changed, with the
+    kernel's operations in its order.  A piece outside the support has slope
+    and left zero and gives ``+0.0``, the zero fill.
+    """
+
+    def __init__(self, beliefs: np.ndarray, grid: Grid) -> None:
+        self.xs = grid.samples
+        self.shades = _scan_shades(grid)
+        self.weights = [_weights(belief, grid) for belief in beliefs]
+        self.matrix = self._starts = self._key = None
+
+    def update(self, rule) -> np.ndarray:
+        cuts, nodes, slopes, lefts = rule.pieces
+        key = np.stack((slopes, lefts)).view(np.int64)
+        if self.matrix is None:
+            self.matrix = retained_integrand(self.shades, rule, self.xs)
+        else:
+            xs, shades = self.xs, self.shades
+            if self._starts is None:
+                # (pieces + 1, shades): where each piece starts in each row, found on the computed xs - v
+                self._starts = np.array([i + (xs[i:] - v).searchsorted(cuts)
+                                         for v, i in zip(shades.tolist(), xs.searchsorted(shades))]).T
+            for j in np.flatnonzero((key != self._key).any(axis=0)).tolist():
+                a, n = self._starts[j], self._starts[j + 1] - self._starts[j]
+                # every row's samples in piece j, row after row
+                rows = np.repeat(np.arange(n.size), n)
+                cols = np.repeat(a + n - n.cumsum(), n) + np.arange(n.sum())
+                x = xs[cols]
+                x -= shades[rows]
+                x -= nodes[j]
+                x *= slopes[j]
+                x += lefts[j]
+                self.matrix[rows, cols] = x
+        self._key = key
+        return self.matrix
+
+
 def _sign(t: float) -> float:
     """``np.sign(t) + (t == 0)``: -1.0 below zero, else 1.0."""
     return -1.0 if t < 0.0 else 1.0
@@ -255,17 +300,16 @@ def _brent_bounded(func, a: float, b: float, xatol: float) -> tuple[float, float
     return xf, fx, num
 
 
-def _best_response_with_value(fill: RetainedRow, belief: np.ndarray, grid: Grid, cands: list[float],
-                              scan: np.ndarray) -> tuple[float, float]:
-    """Best shade against a belief's node values and its expected retained
-    regret, given the scan shades and the rule's scan matrix built once by
-    :func:`_best_responses` and its row evaluator on ``grid.samples``."""
-    weights = _weights(belief, grid)
+def _best_response_with_value(fill: RetainedRow, weights: np.ndarray, cands: list[float],
+                              matrix: np.ndarray) -> tuple[float, float]:
+    """Best shade against a belief's quadrature weights and its expected
+    retained regret, given the scan shades, the rule's scan matrix and its
+    row evaluator on ``grid.samples`` (:func:`_best_responses`)."""
 
     def objective(s: float) -> float:
         return float(fill(s) @ weights)
 
-    vals = scan @ weights
+    vals = matrix @ weights
 
     pool: list[tuple[float, float]] = [(cands[0], float(vals[0])), (cands[-1], float(vals[-1]))]
     for idx in _local_minima(vals):
@@ -284,17 +328,16 @@ def _best_response_with_value(fill: RetainedRow, belief: np.ndarray, grid: Grid,
     return float(s_star), float(best_val)
 
 
-def _best_responses(rule, beliefs: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Best shade and its attained objective against each row of node values in turn."""
-    cands = _scan_shades(grid).tolist()
+def _best_responses(rule, scan: KeptScan) -> tuple[np.ndarray, np.ndarray]:
+    """Best shade and its attained objective against each of ``scan``'s beliefs in turn."""
     # the integrand does not depend on the belief: one scan matrix serves every
     # belief, and one row refilled by every Brent evaluation
-    scan = retained_integrand(cands, rule, grid.samples)
-    fill = RetainedRow(rule, grid.samples)
-    shades = np.empty(len(beliefs))
-    values = np.empty(len(beliefs))
-    for b, belief in enumerate(beliefs):
-        shades[b], values[b] = _best_response_with_value(fill, belief, grid, cands, scan)
+    matrix, cands = scan.update(rule), scan.shades.tolist()
+    fill = RetainedRow(rule, scan.xs)
+    shades = np.empty(len(scan.weights))
+    values = np.empty(len(scan.weights))
+    for b, weights in enumerate(scan.weights):
+        shades[b], values[b] = _best_response_with_value(fill, weights, cands, matrix)
     return shades, values
 
 
@@ -305,7 +348,7 @@ def best_response_constant(rule, belief: Tabulated, grid: Grid) -> float:
     the best value found, ``TIE_RTOL`` = 1e-4) the shade closest to zero is
     returned; the whole procedure is deterministic.
     """
-    return float(_best_responses(rule, belief.values[None, :], grid)[0][0])
+    return float(_best_responses(rule, KeptScan(belief.values[None, :], grid))[0][0])
 
 
 def regret_at_truth(rule, f: DistributionSpec, grid: Grid) -> float:
@@ -326,7 +369,7 @@ def deviation_incentive(rule, truth: float, signal_density: Tabulated, beliefs: 
     values use the tabulated ``f``, so the difference can dip below zero
     (ROADMAP item 10).
     """
-    _, values = _best_responses(rule, beliefs, grid)
+    _, values = _best_responses(rule, KeptScan(beliefs, grid))
     xs = grid.samples
     # each signal node's value, interpolated between nodes and clamped at the ends
     value_curve = np.interp(xs, grid.mids, np.broadcast_to(values, grid.bins))

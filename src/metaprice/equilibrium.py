@@ -15,7 +15,7 @@ from typing import Literal
 
 import numpy as np
 
-from .bidder import _best_responses
+from .bidder import KeptScan, _best_responses
 from .blinding import information
 from .center import Budget, PaymentRule, payment_rule, solve_center
 from .distributions import DistributionSpec
@@ -98,10 +98,11 @@ def find_equilibrium(f: DistributionSpec, config: EquilibriumConfig, grid: Grid)
     alpha = config.alpha
     r_bar = np.zeros(grid.bins)
     s_bar = np.zeros(grid.bins)
+    scan = KeptScan(beliefs, grid)
 
     for _ in range(config.max_rounds):
         rule_t = solve_center(signal_density, constraint_density, s_bar, budget, grid)
-        s_t, _ = _best_responses(rule_t, beliefs, grid)
+        s_t, _ = _best_responses(rule_t, scan)
 
         r_next = (1.0 - alpha) * r_bar + alpha * rule_t.values
         s_next = (1.0 - alpha) * s_bar + alpha * s_t

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from metaprice.bidder import (_BRENT_XATOL, RetainedRow, Strategy, _best_responses, _brent_bounded,
+from metaprice.bidder import (_BRENT_XATOL, KeptScan, RetainedRow, Strategy, _best_responses, _brent_bounded,
                               _local_minima, _scan_shades, _sign, best_response_constant,
                               deviation_incentive, regret_at_truth, retained_integrand, shade_objective)
 from metaprice.blinding import information
@@ -337,6 +337,93 @@ def test_one_evaluator_through_shade_walks_matches_fresh_fills():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def solve_rules_in_order(f, grid, **config):
+    """Each round's rule of a solve, in the order the solve's kept scan met them."""
+    return [rnd.rule for rnd in find_equilibrium(f, EquilibriumConfig(**config), grid).rounds]
+
+
+def hand_built_rules(grid):
+    """Rules in an order that switches bins at each end of the support and at
+    the clamped end nodes, and that repeats a rule's bytes."""
+    n, mids = grid.bins, grid.mids
+
+    def on(*bins, first=0.0, last=0.0, neg_zero=False):
+        values = np.full(n, -0.0 if neg_zero else 0.0)
+        values[list(bins)] = mids[list(bins)]
+        values[0] = first or values[0]
+        values[-1] = last or values[-1]
+        return payment_rule(grid, values)
+
+    lo, hi = n // 5, 3 * n // 5
+    band = range(lo, hi)
+    return [
+        ("zero", payment_rule(grid, np.zeros(n))),
+        ("bang_bang", on(*band)),
+        ("left_end_on", on(lo - 1, *band)),  # a bin turns on at each end of the support
+        ("right_end_on", on(lo - 1, *band, hi)),
+        ("left_end_off", on(*band, hi)),  # and off again
+        ("right_end_off", on(*band)),
+        ("first_node", on(*band, first=0.5 * mids[0])),  # the clamped piece below the first node
+        ("first_node_moved", on(*band, first=mids[0])),
+        ("last_node", on(*band, first=mids[0], last=0.25 * mids[-1])),  # and from the last node on
+        ("last_node_moved", on(*band, last=0.75 * mids[-1])),
+        ("fractional", payment_rule(grid, np.where(np.isin(np.arange(n), band), 0.4 * mids, 0.0))),
+        ("bang_bang_again", on(*band)),
+        ("negative_zero_nodes", on(*band, neg_zero=True)),  # stored as +0.0: the same bytes
+        ("given_twice", on(*band, neg_zero=True)),
+        ("zero_again", payment_rule(grid, np.zeros(n))),
+    ]
+
+
+GRIDS = {"0_10_50x200": GRID, "0_7_30x200": make_grid(0, 7, 30, 200), "0_10_50x400": make_grid(0, 10, 50, 400)}
+
+
+class TestKeptScan:
+    """A solve's kept scan matrix has the bytes of a fresh fill after every rule."""
+
+    @staticmethod
+    def walk(rules, grid):
+        scan, last = KeptScan(np.empty((0, grid.bins)), grid), None
+        for name, rule in rules:
+            if last is not None and rule.values.tobytes() == last:
+                # nothing moved: a read-only matrix raises if any entry is written
+                scan.matrix.flags.writeable = False
+            matrix = scan.update(rule)
+            assert matrix is scan.matrix
+            assert matrix.tobytes() == retained_integrand(scan.shades, rule, grid.samples).tobytes(), name
+            matrix.flags.writeable, last = True, rule.values.tobytes()
+        return scan
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    def test_hand_built_rules(self, grid):
+        rules = hand_built_rules(grid)
+        assert rules[-2][1].values.tobytes() == rules[-3][1].values.tobytes() == rules[-4][1].values.tobytes()
+        self.walk(rules, grid)
+
+    @pytest.mark.parametrize("shape, rounds", [(1.0, 36), (0.01, 45)])
+    def test_exante_solves(self, shape, rounds):
+        rules = solve_rules_in_order(gpd(0, 1, shape, 0, 10), GRID, gamma=0.25)
+        assert len(rules) == rounds
+        self.walk(enumerate(rules), GRID)
+
+    @pytest.mark.parametrize("sigma", [2.0, 1000.0])
+    def test_blinded_solves(self, sigma):
+        rules = solve_rules_in_order(F_PARETO, GRID, mode="blinded", mu_sigma=sigma, w_sigma=sigma, max_rounds=3)
+        self.walk(enumerate(rules), GRID)
+
+    @pytest.mark.parametrize("grid", list(GRIDS.values())[1:], ids=list(GRIDS)[1:])
+    def test_exante_solves_on_other_grids(self, grid):
+        f = gpd(0, 1, 1.0, grid.lower, grid.upper)
+        self.walk(enumerate(solve_rules_in_order(f, grid, gamma=0.25)), grid)
+
+    def test_weights_are_each_beliefs_quadrature_weights(self):
+        posts = posteriors(F_PARETO, 2.0)
+        scan = KeptScan(posts, GRID)
+        assert len(scan.weights) == len(posts)
+        for belief, weights in zip(posts, scan.weights):
+            assert weights.tobytes() == (np.interp(GRID.samples, GRID.mids, belief) * GRID.sample_width).tobytes()
+
+
 def scipy_bounded(func, lo, hi, xatol):
     res = minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
     return float(res.x), float(res.fun), int(res.nfev)
@@ -436,12 +523,12 @@ class TestBestResponseConstant:
 
 class TestBestResponseFunctional:
     def test_zero_rule_all_zero(self):
-        shades = _best_responses(ZERO_RULE, posteriors(F_PARETO, 5.0), GRID)[0]
+        shades = _best_responses(ZERO_RULE, KeptScan(posteriors(F_PARETO, 5.0), GRID))[0]
         assert np.all(shades == 0.0)
 
     def test_wide_blinding_collapses_to_ex_ante(self):
         rule = small_rule(6.1)
-        shades = _best_responses(rule, posteriors(F_PARETO, 1000.0), GRID)[0]
+        shades = _best_responses(rule, KeptScan(posteriors(F_PARETO, 1000.0), GRID))[0]
         s_exante = best_response_constant(rule, F_TAB, GRID)
         assert np.max(np.abs(shades - s_exante)) < GRID.width
 
@@ -452,13 +539,13 @@ class TestBestResponseFunctional:
         # one scan matrix shared by every signal gives exactly the responses
         # each posterior gets on its own
         posts = posteriors(F_PARETO, sigma)
-        alone = np.array([np.concatenate(_best_responses(rule, belief[None, :], GRID)) for belief in posts])
-        shades, values = _best_responses(rule, posts, GRID)
+        alone = np.array([np.concatenate(_best_responses(rule, KeptScan(belief[None, :], GRID))) for belief in posts])
+        shades, values = _best_responses(rule, KeptScan(posts, GRID))
         assert np.all(shades == alone[:, 0])
         assert np.all(values == alone[:, 1])
 
     def test_sharp_blinding_bids_critical_value(self):
-        shades = _best_responses(IDENTITY_RULE, posteriors(F_PARETO, 0.05), GRID)[0]
+        shades = _best_responses(IDENTITY_RULE, KeptScan(posteriors(F_PARETO, 0.05), GRID))[0]
         assert np.max(np.abs(shades - GRID.mids)) < GRID.width
 
 

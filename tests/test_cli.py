@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from metaprice import blinding, cli
-from metaprice.bidder import Strategy, _best_responses
+from metaprice.bidder import KeptScan, Strategy, _best_responses
 from metaprice.blinding import blind
 from metaprice.center import PaymentRule, collected, payment_rule
 from metaprice.cli import ExperimentConfig, _write_csv, list_presets, main, preset_config, read_rule_csv
@@ -280,7 +280,7 @@ def test_exante_deviation_incentive_is_the_best_response_reading(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     grid = make_grid(0, 10, 50, 200)
     rule = payment_rule(grid, np.loadtxt(out / "rule.csv", delimiter=",", skiprows=1)[:, 1])
-    _, values = _best_responses(rule, tabulate_pdf(gpd(0, 1, 1.0, 0, 10), grid).values[None, :], grid)
+    _, values = _best_responses(rule, KeptScan(tabulate_pdf(gpd(0, 1, 1.0, 0, 10), grid).values[None, :], grid))
     expected = summary["regret_at_truth"] - values[0]
     assert summary["deviation_incentive"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 

@@ -10,7 +10,7 @@ import pytest
 
 import metaprice
 from metaprice import blinding
-from metaprice.bidder import Strategy, best_response_constant, shade_objective
+from metaprice.bidder import KeptScan, Strategy, _best_responses, best_response_constant, shade_objective
 from metaprice.center import collected, solve_center
 from metaprice.distributions import gpd, tabulate_pdf
 from metaprice.equilibrium import EquilibriumConfig, find_equilibrium, format_report
@@ -89,6 +89,19 @@ def test_exante_round_shade_is_the_constant_best_response():
     for rnd in trace.rounds:
         assert rnd.shades.shape == (1,)
         assert rnd.shades[0] == best_response_constant(rnd.rule, F_TAB, GRID)
+
+
+@pytest.mark.parametrize("f, config", [
+    (gpd(0, 1, 0.01, 0, 10), EquilibriumConfig(mode="exante", gamma=0.25)),
+    (F_PARETO, EquilibriumConfig(mode="blinded", gamma=0.25, mu_sigma=2.0, w_sigma=2.0, max_rounds=3)),
+], ids=["exante_shape_0.01", "blinded_sigma_2"])
+def test_each_rounds_shades_are_a_fresh_best_response(f, config):
+    # a solve keeps its bidder's scan from round to round; each round's shades
+    # must still be the bytes of a best response computed afresh for its rule
+    trace = find_equilibrium(f, config, GRID)
+    assert trace.n_rounds > 1
+    for rnd in trace.rounds:
+        assert rnd.shades.tobytes() == _best_responses(rnd.rule, KeptScan(trace.beliefs, GRID))[0].tobytes()
 
 
 def test_blinded_solve_builds_posteriors_once(monkeypatch):

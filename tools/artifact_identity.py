@@ -30,7 +30,8 @@ The run list: ``preset exante-pareto`` at shapes -0.1, 0.01 and 1 and gamma
 with 3 rounds, and at 2/2 with 3 rounds on 30 bins on [0, 7]; an ex-ante truncated normal (mean 5, sd 1.5) at gamma 0.2;
 an ex-ante empirical fit of 400 seeded Pareto draws, all inside the window,
 at gamma 0.25; ex-ante ``solve`` on 30 bins; the default ex-ante solve (Pareto
-shape 1, gamma 0.25) at 50 x 400 sub-samples; ``diagnose`` of the shape-1,
+shape 1, gamma 0.25) at 50 x 400 sub-samples and undamped (alpha 1) for at
+most 12 rounds; ``diagnose`` of the shape-1,
 gamma-0.25 rule under the sigma-2 config and under the default (ex-ante)
 config, and of the 30-bin run's rule under its own config; and six runs that
 exit 1: ``preset exante-pareto --gamma abc``, ``preset no-such-preset``,
@@ -70,6 +71,9 @@ CONFIGS = {
                                          "bins": 30, "upper": 7.0},
     # the default ex-ante shape-1, gamma-0.25 solve on rows of 20,000 samples
     "subsamples_400.json": {"subsamples": 400},
+    # undamped: each round's rule is the center's fresh answer, so rules jump
+    # and many of their pieces move at once
+    "undamped_12.json": {"alpha": 1.0, "max_rounds": 12},
 }
 # configs read only by ``diagnose`` and the runs that exit 1
 OTHER_CONFIGS = {"exante.json": {}, "one_bin.json": {"bins": 1}}
