@@ -26,6 +26,8 @@ from .grid import Grid, Tabulated
 TIE_RTOL = 1e-4
 _BRENT_XATOL = 1e-10
 _BRENT_MAXFUN = 500
+# KeptScan refills its whole matrix in place once more than a third of the rule's pieces moved
+_REFILL_FRACTION = 3
 
 
 class Strategy:
@@ -135,12 +137,17 @@ def retained_integrand(s, rule, xs: np.ndarray) -> np.ndarray:
     """
     xs = np.asarray(xs, dtype=float)
     shades = np.asarray(s, dtype=float).reshape(-1)
-    out = np.empty((shades.size, xs.size))
+    out = _fill_rows(np.empty((shades.size, xs.size)), shades, rule, xs)
+    return out if np.ndim(s) > 0 else out[0]
+
+
+def _fill_rows(out: np.ndarray, shades: np.ndarray, rule, xs: np.ndarray) -> np.ndarray:
+    """Fill ``out``'s rows in place with :func:`retained_integrand`'s rows at ``shades``."""
     fill = RetainedRow(rule, xs)
     for row, v in zip(out, shades.tolist()):
         fill.row = row
         fill(v)
-    return out if np.ndim(s) > 0 else out[0]
+    return out
 
 
 def _weights(belief: np.ndarray, grid: Grid) -> np.ndarray:
@@ -175,11 +182,14 @@ class KeptScan:
     each belief's quadrature weights, built once.
 
     A row sits at a fixed shade, so which of its samples fall in which of the
-    rule's linear pieces depends on the grid alone.  ``update(rule)`` fills the
-    matrix through :class:`RetainedRow` for the first rule; for a later one it
-    rewrites only the pieces whose ``(slope, left)`` bytes changed, with the
-    kernel's operations in its order.  A piece outside the support has slope
-    and left zero and gives ``+0.0``, the zero fill.
+    rule's linear pieces depends on the grid alone.  ``update(rule)`` fills
+    every row through :class:`RetainedRow` for the first rule and for a rule
+    that moved more than a third of the pieces (``_REFILL_FRACTION``), where
+    that is cheaper; for any other it rewrites only the pieces whose
+    ``(slope, left)`` bytes changed, with the kernel's operations in its
+    order, and finds where each piece starts in each row at the first such
+    rewrite.  A piece outside the support has slope and left zero and gives
+    ``+0.0``, the zero fill.
     """
 
     def __init__(self, beliefs: np.ndarray, grid: Grid) -> None:
@@ -191,15 +201,20 @@ class KeptScan:
     def update(self, rule) -> np.ndarray:
         cuts, nodes, slopes, lefts = rule.pieces
         key = np.stack((slopes, lefts)).view(np.int64)
+        xs, shades = self.xs, self.shades
         if self.matrix is None:
-            self.matrix = retained_integrand(self.shades, rule, self.xs)
+            # the first rule moves every piece
+            self.matrix, moved = np.empty((shades.size, xs.size)), range(len(slopes))
         else:
-            xs, shades = self.xs, self.shades
+            moved = np.flatnonzero((key != self._key).any(axis=0)).tolist()
+        if len(moved) * _REFILL_FRACTION > len(slopes):
+            _fill_rows(self.matrix, shades, rule, xs)
+        elif moved:
             if self._starts is None:
                 # (pieces + 1, shades): where each piece starts in each row, found on the computed xs - v
                 self._starts = np.array([i + (xs[i:] - v).searchsorted(cuts)
                                          for v, i in zip(shades.tolist(), xs.searchsorted(shades))]).T
-            for j in np.flatnonzero((key != self._key).any(axis=0)).tolist():
+            for j in moved:
                 a, n = self._starts[j], self._starts[j + 1] - self._starts[j]
                 # every row's samples in piece j, row after row
                 rows = np.repeat(np.arange(n.size), n)

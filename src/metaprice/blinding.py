@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .distributions import DistributionSpec, pdf, tabulate_pdf
 from .grid import Grid, Tabulated
@@ -27,6 +26,8 @@ def _kernel_columns(centers: np.ndarray, points: np.ndarray, sigma: float, lo: f
     Each column is renormalized to the window ``[lo, hi]`` so edge-centered
     kernels are not mass-deficient.
     """
+    from scipy.special import ndtr  # imported here so that importing the package loads no scipy
+
     z = (points[:, None] - centers[None, :]) / sigma
     mass = ndtr((hi - centers) / sigma) - ndtr((lo - centers) / sigma)
     return np.exp(-0.5 * z * z) / (sigma * _SQRT2PI) / mass[None, :]

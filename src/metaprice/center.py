@@ -187,15 +187,23 @@ def solve_center(objective_density: Tabulated, constraint_density: Tabulated,
 
 
 def ratio_diagnostics(f: DistributionSpec, s: float | np.ndarray, grid: Grid) -> np.ndarray:
-    """Per-bin mass ratio driving the fill order at the shade profile ``s``.
+    """Per-bin exact-cdf mass ratio of ``f`` at the shade profile ``s``, as ``ratio.csv`` writes it.
 
     ``rho_b = [F(hi_b + s_b) - F(lo_b + s_b)] / [F(hi_b) - F(lo_b)]`` with the
     cdf saturating at the truncation boundary; bins with zero base mass map
-    to inf (collectible for free) or 0.
+    to inf (collectible for free) or 0.  This is not the knapsack's fill
+    order, which sorts on ``w / c`` from the tabulated densities, blinded
+    runs included; the two differ by a median of 0.09–1.7 % per bin at
+    converged shades (ROADMAP item 3).  One ``cdf`` call covers the edges
+    and both shifted edge sets; the cdf is computed point by point, so each
+    mass is the difference it would be from separate calls.
     """
-    base = np.asarray(cdf(f, grid.edges[1:]), dtype=float) - np.asarray(cdf(f, grid.edges[:-1]), dtype=float)
-    shifted = (np.asarray(cdf(f, grid.edges[1:] + s), dtype=float)
-               - np.asarray(cdf(f, grid.edges[:-1] + s), dtype=float))
+    edges, bins = grid.edges, grid.bins
+    hi = np.broadcast_to(edges[1:] + s, bins)
+    lo = np.broadcast_to(edges[:-1] + s, bins)
+    F = cdf(f, np.concatenate((edges, hi, lo)))
+    base = F[1:bins + 1] - F[:bins]
+    shifted = F[bins + 1:2 * bins + 1] - F[2 * bins + 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.where(base > 0.0, shifted / np.where(base > 0.0, base, 1.0),
                        np.where(shifted > 0.0, np.inf, 0.0))

@@ -22,7 +22,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from .grid import Grid, Tabulated, integrate
 
@@ -109,6 +108,8 @@ class Normal:
         return np.exp(-0.5 * z * z) / (self.stddev * _SQRT2PI)
 
     def raw_cdf(self, x: np.ndarray) -> np.ndarray:
+        from scipy.special import ndtr  # imported here so that importing the package loads no scipy
+
         return ndtr((x - self.mean) / self.stddev)
 
 
@@ -175,6 +176,11 @@ class DistributionSpec:
         c = self.family.raw_cdf(lo_hi)
         return float(c[1] - c[0])
 
+    @cached_property
+    def _cdf_lo(self) -> np.float64:
+        """The family's cdf at ``lo``, which :func:`cdf` subtracts."""
+        return self.family.raw_cdf(np.asarray([self.lo]))[0]
+
 
 def gpd(location: float, scale: float, shape: float, lo: float, hi: float) -> DistributionSpec:
     return DistributionSpec(GeneralizedPareto(location, scale, shape), float(lo), float(hi))
@@ -208,8 +214,7 @@ def cdf(spec: DistributionSpec, x) -> float | np.ndarray:
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     clipped = np.clip(arr, spec.lo, spec.hi)
-    base = spec.family.raw_cdf(np.asarray([spec.lo]))[0]
-    out = (spec.family.raw_cdf(clipped) - base) / spec._norm
+    out = (spec.family.raw_cdf(clipped) - spec._cdf_lo) / spec._norm
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out
 

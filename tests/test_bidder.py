@@ -416,6 +416,19 @@ class TestKeptScan:
         f = gpd(0, 1, 1.0, grid.lower, grid.upper)
         self.walk(enumerate(solve_rules_in_order(f, grid, gamma=0.25)), grid)
 
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    def test_every_piece_moves_on_two_consecutive_rules(self, grid):
+        # each scaling moves every piece, so the matrix is refilled in place
+        # twice; the last rule moves two pieces, the first partial rewrite
+        few = 0.75 * grid.mids
+        few[grid.bins // 2] = 0.0
+        rules = [(a, payment_rule(grid, a * grid.mids)) for a in (0.25, 0.5, 0.75)] + [("few", payment_rule(grid, few))]
+        keys = [np.stack(rule.pieces[2:]).view(np.int64) for _, rule in rules]
+        assert all((k0 != k1).any(axis=0).all() for k0, k1 in zip(keys[:2], keys[1:3]))
+        assert (keys[2] != keys[3]).any(axis=0).sum() == 2
+        assert self.walk(rules[:3], grid)._starts is None
+        assert self.walk(rules, grid)._starts is not None
+
     def test_weights_are_each_beliefs_quadrature_weights(self):
         posts = posteriors(F_PARETO, 2.0)
         scan = KeptScan(posts, GRID)

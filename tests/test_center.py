@@ -8,9 +8,10 @@ from metaprice.center import (Budget, InfeasibleBudgetError, PaymentRule, collec
                               k_vcg, payment_rule, ratio_diagnostics, solve_center)
 from metaprice.center import _greedy_fill
 from metaprice.cli import _write_csv, read_rule_csv
-from metaprice.distributions import burr_xii, fit_empirical, gpd, tabulate_pdf, uniform
+from metaprice.distributions import burr_xii, cdf, fit_empirical, gpd, tabulate_pdf, uniform
 from metaprice.grid import Tabulated, make_grid
 from metaprice.rules import calibrate, realize
+from test_distributions import families
 
 GRID = make_grid(0, 10, 50, 200)
 F_PARETO = gpd(0, 1, 1.0, 0, 10)
@@ -317,6 +318,40 @@ class TestRatioMethod:
         obj_low = float(np.dot(c, low.values))
         obj_high = float(np.dot(c, high))
         assert abs(obj_low - obj_high) < 1e-6
+
+
+def ratio_four_calls(f, s, grid):
+    """``ratio_diagnostics`` as four ``cdf`` calls, one per edge set: the bytes it must keep."""
+    base = np.asarray(cdf(f, grid.edges[1:])) - np.asarray(cdf(f, grid.edges[:-1]))
+    shifted = np.asarray(cdf(f, grid.edges[1:] + s)) - np.asarray(cdf(f, grid.edges[:-1] + s))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(base > 0.0, shifted / np.where(base > 0.0, base, 1.0),
+                        np.where(shifted > 0.0, np.inf, 0.0))
+
+
+class TestRatioOneCdfCall:
+    """One ``cdf`` call on the edges and both shifted edge sets gives the four-call bytes."""
+
+    @pytest.mark.parametrize("name", list(families(0, 10, GRID)))
+    def test_same_bytes_as_four_cdf_calls(self, name):
+        rng = np.random.default_rng(1951)
+        for lo, hi in ((0.0, 10.0), (1.0, 7.0)):
+            for bins in (2, 5, 50):
+                grid = make_grid(lo, hi, bins, 20)
+                f = families(lo, hi, grid)[name]
+                profiles = [rng.uniform(0.0, hi, bins), rng.uniform(0.0, 0.2 * (hi - lo), bins),
+                            np.where(np.arange(bins) % 2, hi + 1.0, 0.0)]
+                for s in [0.0, 0.1, grid.width, 0.5 * (hi - lo), hi - lo, hi + 3.0] + profiles:
+                    got = ratio_diagnostics(f, s, grid)
+                    assert got.shape == (bins,)
+                    assert got.tobytes() == ratio_four_calls(f, s, grid).tobytes(), (lo, bins, s)
+
+    def test_one_cdf_call_per_diagnostic(self, monkeypatch):
+        import metaprice.center as center
+        calls = []
+        monkeypatch.setattr(center, "cdf", lambda f, x: calls.append(x.shape) or cdf(f, x))
+        ratio_diagnostics(F_PARETO, np.full(GRID.bins, 0.2), GRID)
+        assert calls == [(3 * GRID.bins + 1,)]
 
 
 class TestKVcg:

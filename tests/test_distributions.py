@@ -13,6 +13,29 @@ from metaprice.grid import make_grid
 GRID = make_grid(0, 10, 50, 200)
 
 
+def cdf_reference(spec, x):
+    """The truncated cdf with the family's value at ``lo`` computed inside the call."""
+    arr = np.asarray(x, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    base = spec.family.raw_cdf(np.asarray([spec.lo]))[0]
+    out = np.clip((spec.family.raw_cdf(np.clip(arr, spec.lo, spec.hi)) - base) / spec._norm, 0.0, 1.0)
+    return float(out[0]) if scalar else out
+
+
+def families(lo, hi, grid):
+    """One spec of each family on ``[lo, hi]``; the empirical one is fitted on ``grid``."""
+    draws = np.random.default_rng(19).pareto(1.0, 400) + lo
+    return {"gpd_1": gpd(0, 1, 1.0, lo, hi), "gpd_-0.1": gpd(0, 1, -0.1, lo, hi),
+            "gpd_1e-9": gpd(0, 1, 1e-9, lo, hi), "gpd_shifted": gpd(0.5, 2, 0.3, lo, hi),
+            "burr": burr_xii(3, 2, lo, hi), "normal": truncated_normal(5, 1.5, lo, hi),
+            "normal_spike": truncated_normal(4.02, 0.01, lo, hi), "uniform": uniform(lo, hi),
+            "empirical": fit_empirical(draws[draws <= hi], grid)}
+
+
+WINDOWS = [(0.0, 10.0, GRID), (1.0, 7.0, make_grid(1, 7, 30, 200))]
+
+
 def gpd_inverse_cdf(u, scale=1.0, shape=1.0):
     """Closed-form quantile of the untruncated generalized Pareto at location 0."""
     if abs(shape) < 1e-12:
@@ -99,6 +122,17 @@ class TestTruncation:
         for spec in (gpd(0, 1, 1.0, 0, 10), burr_xii(2, 1, 0, 10), truncated_normal(5, 2, 0, 10)):
             deriv = (cdf(spec, xs + eps) - cdf(spec, xs - eps)) / (2 * eps)
             assert np.max(np.abs(deriv - pdf(spec, xs))) < 1e-3
+
+    @pytest.mark.parametrize("name", list(families(0, 10, GRID)))
+    def test_cdf_keeps_the_bytes_of_its_value_at_lo_computed_in_each_call(self, name):
+        # on [1, 7] every parametric family's cdf is nonzero at lo, so dropping the offset fails
+        for lo, hi, grid in WINDOWS:
+            spec = families(lo, hi, grid)[name]
+            xs = np.concatenate((np.linspace(lo - 1, hi + 1, 257), [lo, hi, np.nextafter(lo, hi)]))
+            assert cdf(spec, xs).tobytes() == cdf_reference(spec, xs).tobytes()
+            for x in xs[::8].tolist():
+                got = cdf(spec, x)
+                assert type(got) is float and got.hex() == cdf_reference(spec, x).hex(), x
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):

@@ -54,13 +54,14 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
 
 def test_cli_import_leaves_out_scipy_optimize():
     # the bidder's Brent step lives in the package, so start-up does not pay
-    # for scipy.optimize
+    # for scipy.optimize; ndtr is imported where a normal cdf is computed, so
+    # it does not pay for scipy.special either
     src = str(Path(metaprice.__file__).resolve().parents[1])
-    code = "import sys, metaprice.cli; print('scipy.optimize' in sys.modules)"
+    code = "import sys, metaprice.cli; print([m in sys.modules for m in ('scipy.optimize', 'scipy.special')])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"
 
 
 def test_benchmark_smoke_and_oracle_tests_pass():
