@@ -17,7 +17,7 @@ from .bidder import (Strategy, best_response_constant, deviation_incentive, reta
 from .center import (Budget, InfeasibleBudgetError, PaymentRule, constraint_weights,
                      k_vcg, payment_rule, ratio_diagnostics, solve_center)
 from .rules import ReferenceRule, RuleDiagnostics, calibrate, diagnose, realize
-from .equilibrium import EquilibriumConfig, EquilibriumTrace, find_equilibrium, format_report
+from .equilibrium import EquilibriumConfig, EquilibriumTrace, Instance, find_equilibrium, format_report
 
 __all__ = [
     "Grid", "Tabulated", "integrate", "make_grid",
@@ -30,5 +30,5 @@ __all__ = [
     "constraint_weights", "solve_center",
     "ratio_diagnostics", "k_vcg",
     "ReferenceRule", "RuleDiagnostics", "calibrate", "diagnose", "realize",
-    "EquilibriumConfig", "EquilibriumTrace", "find_equilibrium", "format_report",
+    "EquilibriumConfig", "EquilibriumTrace", "Instance", "find_equilibrium", "format_report",
 ]

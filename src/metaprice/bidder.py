@@ -177,9 +177,9 @@ def _scan_shades(grid: Grid) -> np.ndarray:
 
 
 class KeptScan:
-    """The bidder's grid scan kept for one solve: the scan shades, their
-    ``(shades, samples)`` matrix of retained regret under the last rule, and
-    each belief's quadrature weights, built once.
+    """The bidder's grid scan kept for one solve: its ``beliefs`` and ``grid``,
+    the scan shades, their ``(shades, samples)`` matrix of retained regret
+    under the last rule, and each belief's quadrature weights, built once.
 
     A row sits at a fixed shade, so which of its samples fall in which of the
     rule's linear pieces depends on the grid alone.  ``update(rule)`` fills
@@ -193,7 +193,7 @@ class KeptScan:
     """
 
     def __init__(self, beliefs: np.ndarray, grid: Grid) -> None:
-        self.xs = grid.samples
+        self.beliefs, self.grid, self.xs = beliefs, grid, grid.samples
         self.shades = _scan_shades(grid)
         self.weights = [_weights(belief, grid) for belief in beliefs]
         self.matrix = self._starts = self._key = None
@@ -373,19 +373,18 @@ def regret_at_truth(rule, f: DistributionSpec, grid: Grid) -> float:
                         np.full(xs.shape, grid.sample_width)))
 
 
-def deviation_incentive(rule, truth: float, signal_density: Tabulated, beliefs: np.ndarray,
-                        grid: Grid) -> float:
+def deviation_incentive(rule, truth: float, signal_density: Tabulated, scan: KeptScan) -> float:
     """Regret at truth minus the regret the bidder keeps by best responding.
 
-    ``truth`` is :func:`regret_at_truth`.  Each belief's best-response value
-    is weighed by the signal density, as :func:`~metaprice.blinding.information`
-    pairs them; one ex-ante value holds at every signal.  Nonnegative up to
-    quadrature error: ``truth`` integrates the exact pdf while the bidder's
-    values use the tabulated ``f``, so the difference can dip below zero
-    (ROADMAP item 10).
+    ``truth`` is :func:`regret_at_truth`.  The best-response value against
+    each of ``scan``'s beliefs is weighed by the signal density, as
+    :func:`~metaprice.blinding.information` pairs them; one ex-ante value
+    holds at every signal.  Nonnegative up to quadrature error: ``truth``
+    integrates the exact pdf while the bidder's values use the tabulated
+    ``f``, so the difference can dip below zero (ROADMAP item 10).
     """
-    _, values = _best_responses(rule, KeptScan(beliefs, grid))
-    xs = grid.samples
+    _, values = _best_responses(rule, scan)
+    grid, xs = scan.grid, scan.xs
     # each signal node's value, interpolated between nodes and clamped at the ends
     value_curve = np.interp(xs, grid.mids, np.broadcast_to(values, grid.bins))
     retained = float(np.dot(np.asarray(signal_density(xs), dtype=float) * value_curve,

@@ -20,7 +20,7 @@ from .bidder import deviation_incentive, regret_at_truth, retained_integrand
 from .center import InfeasibleBudgetError, PaymentRule, collected, payment_rule, ratio_diagnostics
 from .distributions import (DistributionSpec, burr_xii, fit_empirical, gpd,
                             read_samples, truncated_normal, uniform)
-from .equilibrium import EquilibriumConfig, EquilibriumTrace, find_equilibrium, format_report
+from .equilibrium import EquilibriumConfig, EquilibriumTrace, Instance, find_equilibrium, format_report
 from .grid import Grid, make_grid
 from .rules import diagnose
 
@@ -189,10 +189,10 @@ def read_rule_csv(path: str | Path, grid: Grid) -> PaymentRule:
     return payment_rule(grid, vals)
 
 
-def write_artifacts(outdir: Path, trace: EquilibriumTrace, f: DistributionSpec, grid: Grid,
-                    config: ExperimentConfig) -> dict:
+def write_artifacts(outdir: Path, trace: EquilibriumTrace, config: ExperimentConfig) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
-    rule, shades = trace.rule, trace.strategy
+    rule, shades, instance = trace.rule, trace.strategy, trace.instance
+    f, grid = instance.f, instance.grid
 
     _write_csv(outdir / "rule.csv", ["psi", "payment_above_critical"],
                zip(grid.mids, rule.values))
@@ -212,13 +212,13 @@ def write_artifacts(outdir: Path, trace: EquilibriumTrace, f: DistributionSpec, 
     summary.update({
         "converged": trace.converged,
         "rounds": trace.n_rounds,
-        "k_vcg": trace.budget.k_vcg,
-        "k": trace.budget.k,
+        "k_vcg": instance.budget.k_vcg,
+        "k": instance.budget.k,
         "shade": float(shades[0]) if trace.config.mode == "exante" else None,
         "shade_nodes": [float(v) for v in shades],
-        "deviation_incentive": deviation_incentive(rule, truth, trace.signal_density, trace.beliefs, grid),
+        "deviation_incentive": deviation_incentive(rule, truth, instance.signal_density, instance.bidder),
         "regret_at_truth": truth,
-        "collected": collected(rule, shades, trace.constraint_density, grid),
+        "collected": collected(rule, shades, instance.constraint_density, grid),
     })
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
         outdir = Path(config.outdir)  # a bad outdir is a config error before any round
         if args.command == "diagnose":
             rule = read_rule_csv(args.rule, grid)
-            report = diagnose(rule, f, eq_config.mu_sigma if eq_config.mode == "blinded" else None, grid)
+            report = diagnose(rule, Instance.build(f, eq_config, grid))
         else:
             # an outdir at or under a regular file cannot be made: refuse it now, making nothing
             existing = next(p for p in (outdir, *outdir.parents) if p.exists())
@@ -290,7 +290,7 @@ def main(argv=None) -> int:
     if args.command == "diagnose":
         print(json.dumps(asdict(report), sort_keys=True, indent=2))
         return 0
-    summary = write_artifacts(outdir, trace, f, grid, config)
+    summary = write_artifacts(outdir, trace, config)
     print(format_report(trace))
     print(f"deviation incentive: {summary['deviation_incentive']:.6g}")
     print(f"collected budget: {summary['collected']:.6g}")

@@ -63,13 +63,33 @@ class Round:
     s_delta: float
 
 
+@dataclass(frozen=True)
+class Instance:
+    """What a solve holds fixed: ``f`` on ``grid``, the budget, the bidder's signal
+    density, the center's budget density and ``bidder``, the bidder's kept scan."""
+
+    f: DistributionSpec
+    grid: Grid
+    budget: Budget
+    signal_density: Tabulated
+    constraint_density: Tabulated
+    bidder: KeptScan
+
+    @classmethod
+    def build(cls, f: DistributionSpec, config: EquilibriumConfig, grid: Grid) -> "Instance":
+        """The mode sets only the information: ex ante the center weighs objective and
+        budget row by ``f`` and the bidder answers ``f`` with one shade; blinded, by the
+        bidder- and center-blinded densities, and the bidder answers each signal's posterior."""
+        budget = Budget.from_gamma(config.gamma, f, grid)
+        signal_density, beliefs, constraint_density = information(
+            f, config.mu_sigma if config.mode == "blinded" else None, config.w_sigma, grid)
+        return cls(f, grid, budget, signal_density, constraint_density, KeptScan(beliefs, grid))
+
+
 @dataclass
 class EquilibriumTrace:
     config: EquilibriumConfig
-    budget: Budget
-    constraint_density: Tabulated
-    signal_density: Tabulated
-    beliefs: np.ndarray  # (n_beliefs, bins) node values
+    instance: Instance
     rounds: list[Round] = field(default_factory=list)
     converged: bool = False
     rule: PaymentRule | None = None
@@ -81,28 +101,17 @@ class EquilibriumTrace:
 
 
 def find_equilibrium(f: DistributionSpec, config: EquilibriumConfig, grid: Grid) -> EquilibriumTrace:
-    """Run damped iterated best response from the truthful strategy.
-
-    The mode sets only the information: ex ante the center weighs objective
-    and budget row by ``f`` and the bidder answers ``f`` with one shade;
-    blinded, the center weighs them by the bidder- and center-blinded
-    densities and the bidder answers each signal's posterior.
-    """
-    budget = Budget.from_gamma(config.gamma, f, grid)
-    blinded = config.mode == "blinded"
-    signal_density, beliefs, constraint_density = information(
-        f, config.mu_sigma if blinded else None, config.w_sigma, grid)
-
-    trace = EquilibriumTrace(config=config, budget=budget, constraint_density=constraint_density,
-                             signal_density=signal_density, beliefs=beliefs)
+    """Run damped iterated best response from the truthful strategy on the
+    instance :meth:`Instance.build` makes of ``f``, ``config`` and ``grid``."""
+    instance = Instance.build(f, config, grid)
+    trace = EquilibriumTrace(config=config, instance=instance)
     alpha = config.alpha
     r_bar = np.zeros(grid.bins)
     s_bar = np.zeros(grid.bins)
-    scan = KeptScan(beliefs, grid)
 
     for _ in range(config.max_rounds):
-        rule_t = solve_center(signal_density, constraint_density, s_bar, budget, grid)
-        s_t, _ = _best_responses(rule_t, scan)
+        rule_t = solve_center(instance.signal_density, instance.constraint_density, s_bar, instance.budget, grid)
+        s_t, _ = _best_responses(rule_t, instance.bidder)
 
         r_next = (1.0 - alpha) * r_bar + alpha * rule_t.values
         s_next = (1.0 - alpha) * s_bar + alpha * s_t
@@ -121,10 +130,10 @@ def find_equilibrium(f: DistributionSpec, config: EquilibriumConfig, grid: Grid)
 
 def format_report(trace: EquilibriumTrace) -> str:
     """Human-readable convergence report for a finished trace."""
-    cfg = trace.config
+    cfg, budget = trace.config, trace.instance.budget
     lines = [
         f"mode: {cfg.mode}",
-        f"gamma: {cfg.gamma}  (k = {trace.budget.k:.6g}, k_vcg = {trace.budget.k_vcg:.6g})",
+        f"gamma: {cfg.gamma}  (k = {budget.k:.6g}, k_vcg = {budget.k_vcg:.6g})",
         f"alpha: {cfg.alpha}  tolerance: {cfg.tolerance}  max_rounds: {cfg.max_rounds}",
         f"rounds: {trace.n_rounds}  converged: {trace.converged}",
         "round  r_delta       s_delta",

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bidder import best_response_constant, deviation_incentive, regret_at_truth, shade_objective
-from .blinding import information
 from .center import Budget, InfeasibleBudgetError, PaymentRule, collected, constraint_weights, payment_rule
 from .distributions import DistributionSpec, tabulate_pdf
+from .equilibrium import Instance
 from .grid import Grid
 
 FAMILIES = ("vcg", "threshold", "small", "large")
@@ -116,20 +116,20 @@ class RuleDiagnostics:
     collected_at_strategy: float
 
 
-def diagnose(rule: PaymentRule, f: DistributionSpec, mu_sigma: float | None, grid: Grid) -> RuleDiagnostics:
+def diagnose(rule: PaymentRule, instance: Instance) -> RuleDiagnostics:
     """Rule scorecard: regret measures, deviation incentive, collected budget.
 
-    The deviation incentive is blinded by ``mu_sigma`` (None: ex ante); the
+    The deviation incentive is taken against the instance's bidder; the
     collected budget is taken at the bidder's constant best response.
     """
+    f, grid = instance.f, instance.grid
     ftab = tabulate_pdf(f, grid)
     s_star = best_response_constant(rule, ftab, grid)
     truth = regret_at_truth(rule, f, grid)
-    signal_density, beliefs, _ = information(f, mu_sigma, mu_sigma, grid)  # a scorecard has no budget row
     return RuleDiagnostics(
         regret_at_truth=truth,
         worst_case_regret=float(rule.values.max()),
-        deviation_incentive=deviation_incentive(rule, truth, signal_density, beliefs, grid),
+        deviation_incentive=deviation_incentive(rule, truth, instance.signal_density, instance.bidder),
         best_response_shade=s_star,
         retained_at_best_response=shade_objective(s_star, rule, ftab, grid),
         collected_at_truth=collected(rule, 0.0, ftab, grid),

@@ -29,7 +29,7 @@ from metaprice.center import (Budget, InfeasibleBudgetError, collected, constrai
                               _greedy_fill)
 from metaprice.cli import build_distribution, build_grid, preset_config
 from metaprice.distributions import burr_xii, gpd, tabulate_pdf, truncated_normal, uniform
-from metaprice.equilibrium import EquilibriumConfig, find_equilibrium
+from metaprice.equilibrium import EquilibriumConfig, Instance, find_equilibrium
 from metaprice.grid import Tabulated, make_grid
 from metaprice.rules import calibrate
 
@@ -130,9 +130,8 @@ def exante_certificate(shape, gamma):
     Uses neither the damped loop nor its convergence test, so it settles the
     existence question independently of :func:`find_equilibrium`.
     """
-    f = gpd(0, 1, shape, 0, 10)
-    ftab = tabulate_pdf(f, GRID)
-    budget = Budget.from_gamma(gamma, f, GRID)
+    instance = Instance.build(gpd(0, 1, shape, 0, 10), EquilibriumConfig(gamma=gamma), GRID)
+    ftab, budget = instance.signal_density, instance.budget
     k_edge = budget.k * (1.0 + EDGE_SLACK)
 
     coarse = CERT_STEP * np.arange(int(round((GRID.upper - GRID.lower) / CERT_STEP)) + 1)

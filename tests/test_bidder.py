@@ -13,7 +13,7 @@ from metaprice.bidder import (_BRENT_XATOL, KeptScan, RetainedRow, Strategy, _be
 from metaprice.blinding import information
 from metaprice.center import PaymentRule, payment_rule
 from metaprice.distributions import gpd, pdf, tabulate_pdf, uniform
-from metaprice.equilibrium import EquilibriumConfig, find_equilibrium
+from metaprice.equilibrium import EquilibriumConfig, Instance, find_equilibrium
 from metaprice.grid import Tabulated, make_grid
 from metaprice.rules import realize
 
@@ -33,8 +33,8 @@ def posteriors(f, sigma):
 
 def blinded_regret_di(rule, f, mu_sigma, grid):
     """Deviation incentive when the bidder answers each signal's posterior."""
-    signal_density, beliefs, _ = information(f, mu_sigma, mu_sigma, grid)
-    return deviation_incentive(rule, regret_at_truth(rule, f, grid), signal_density, beliefs, grid)
+    instance = Instance.build(f, EquilibriumConfig(mode="blinded", mu_sigma=mu_sigma, w_sigma=mu_sigma), grid)
+    return deviation_incentive(rule, regret_at_truth(rule, f, grid), instance.signal_density, instance.bidder)
 
 
 def small_rule(cutoff):

@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metaprice import blinding, cli
-from metaprice.bidder import KeptScan, Strategy, _best_responses
+from metaprice import bidder, blinding, cli
+from metaprice.bidder import KeptScan, Strategy, _best_responses, deviation_incentive, regret_at_truth
 from metaprice.blinding import blind
 from metaprice.center import PaymentRule, collected, payment_rule
 from metaprice.cli import ExperimentConfig, _write_csv, list_presets, main, preset_config, read_rule_csv
 from metaprice.distributions import gpd, tabulate_pdf
-from metaprice.equilibrium import EquilibriumConfig
+from metaprice.equilibrium import EquilibriumConfig, Instance, find_equilibrium
 from metaprice.grid import Tabulated, make_grid
 
 
@@ -247,28 +247,51 @@ def test_blinded_collected_weighs_the_center_blinded_density(tmp_path):
 
 def test_artifact_writing_rebuilds_no_information(monkeypatch, tmp_path):
     # the solve builds one nodes-by-samples kernel per distinct blinding
-    # width and shares it between the signal density and the posteriors;
-    # scoring the written rule builds none
+    # width and shares it between the signal density and the posteriors,
+    # and each belief's quadrature weights once; scoring the written rule
+    # reuses the solve's scan and builds none of them
     events = []
-    kernel_columns, write_artifacts = blinding._kernel_columns, cli.write_artifacts
+    kernel_columns, weights, write_artifacts = blinding._kernel_columns, bidder._weights, cli.write_artifacts
 
     def counting_kernel(centers, points, sigma, lo, hi):
         if len(centers) == 20 * 50 and len(points) == 20:  # centers at the samples, points at the nodes
             events.append(sigma)
         return kernel_columns(centers, points, sigma, lo, hi)
 
+    def counting_weights(belief, grid):
+        events.append("weights")
+        return weights(belief, grid)
+
     def marking_write(*args, **kwargs):
         events.append("write")
         return write_artifacts(*args, **kwargs)
 
     monkeypatch.setattr(blinding, "_kernel_columns", counting_kernel)
+    monkeypatch.setattr(bidder, "_weights", counting_weights)
     monkeypatch.setattr(cli, "write_artifacts", marking_write)
     for mu_sigma, w_sigma, kernels in ((2.0, 2.0, [2.0]), (2.0, 5.0, [2.0, 5.0])):
         events.clear()
         config = write_config(tmp_path, mode="blinded", mu_sigma=mu_sigma, w_sigma=w_sigma,
                               max_rounds=2, bins=20, subsamples=50)
         assert main(["solve", "--config", str(config)]) in (0, 3)
-        assert events == [*kernels, "write"], (mu_sigma, w_sigma)
+        assert events == [*kernels, *["weights"] * 20, "write"], (mu_sigma, w_sigma)
+
+
+@pytest.mark.parametrize("f, config", [
+    (gpd(0, 1, 1.0, 0, 10), EquilibriumConfig(gamma=0.25)),
+    (gpd(0, 1, 1.0, 0, 10), EquilibriumConfig(mode="blinded", mu_sigma=2.0, w_sigma=2.0, max_rounds=3)),
+], ids=["exante", "blinded_sigma_2"])
+def test_deviation_incentive_through_the_solves_scan_is_a_fresh_scans(f, config):
+    # summary.json's deviation incentive reuses the scan the solve kept; it
+    # must have the bytes of one taken through a scan built afresh
+    grid = make_grid(0, 10, 50, 200)
+    trace = find_equilibrium(f, config, grid)
+    instance = trace.instance
+    truth = regret_at_truth(trace.rule, f, grid)
+    kept = deviation_incentive(trace.rule, truth, instance.signal_density, instance.bidder)
+    fresh = deviation_incentive(trace.rule, truth, instance.signal_density,
+                                KeptScan(instance.bidder.beliefs, grid))
+    assert kept.hex() == fresh.hex()
 
 
 def test_exante_deviation_incentive_is_the_best_response_reading(tmp_path):
@@ -280,7 +303,7 @@ def test_exante_deviation_incentive_is_the_best_response_reading(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     grid = make_grid(0, 10, 50, 200)
     rule = payment_rule(grid, np.loadtxt(out / "rule.csv", delimiter=",", skiprows=1)[:, 1])
-    _, values = _best_responses(rule, KeptScan(tabulate_pdf(gpd(0, 1, 1.0, 0, 10), grid).values[None, :], grid))
+    _, values = _best_responses(rule, Instance.build(gpd(0, 1, 1.0, 0, 10), EquilibriumConfig(gamma=0.1), grid).bidder)
     expected = summary["regret_at_truth"] - values[0]
     assert summary["deviation_incentive"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 

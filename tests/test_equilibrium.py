@@ -77,7 +77,7 @@ def test_intermediate_rules_satisfy_envelope_and_budget():
         assert np.all(vals <= GRID.mids)
         # BB binds at the damped strategy the round was solved against
         got = collected(rnd.rule, sbar, F_TAB, GRID)
-        assert got >= trace.budget.k - 1e-9
+        assert got >= trace.instance.budget.k - 1e-9
         sbar = (1 - cfg.alpha) * sbar + cfg.alpha * rnd.shades[0]
     # the damped final rule stays inside the envelope (convexity)
     assert np.all(trace.rule.values <= GRID.mids)
@@ -101,7 +101,7 @@ def test_each_rounds_shades_are_a_fresh_best_response(f, config):
     trace = find_equilibrium(f, config, GRID)
     assert trace.n_rounds > 1
     for rnd in trace.rounds:
-        assert rnd.shades.tobytes() == _best_responses(rnd.rule, KeptScan(trace.beliefs, GRID))[0].tobytes()
+        assert rnd.shades.tobytes() == _best_responses(rnd.rule, KeptScan(trace.instance.bidder.beliefs, GRID))[0].tobytes()
 
 
 def test_blinded_solve_builds_posteriors_once(monkeypatch):
@@ -145,10 +145,10 @@ def test_approximate_mutual_best_response_at_convergence():
     # center side: re-solving against the final strategy improves the
     # objective by at most a tolerance-level amount
     masses = F_TAB.bin_masses()
-    re_solved = solve_center(F_TAB, F_TAB, s_bar, trace.budget, GRID)
+    re_solved = solve_center(F_TAB, F_TAB, s_bar, trace.instance.budget, GRID)
     obj_bar = float(np.dot(masses, r_bar.values))
     obj_opt = float(np.dot(masses, re_solved.values))
-    slack = collected(r_bar, s_bar, F_TAB, GRID) - trace.budget.k
+    slack = collected(r_bar, s_bar, F_TAB, GRID) - trace.instance.budget.k
     assert obj_bar - obj_opt <= 5 * cfg.tolerance + max(slack, 0.0)
 
 

@@ -6,6 +6,7 @@ import pytest
 from metaprice.bidder import Strategy
 from metaprice.center import Budget, InfeasibleBudgetError, collected, constraint_weights, k_vcg, solve_center
 from metaprice.distributions import gpd, tabulate_pdf
+from metaprice.equilibrium import EquilibriumConfig, Instance
 from metaprice.grid import make_grid
 from metaprice.rules import calibrate, diagnose, realize
 
@@ -13,6 +14,11 @@ GRID = make_grid(0, 10, 50, 200)
 F_PARETO = gpd(0, 1, 1.0, 0, 10)
 F_TAB = tabulate_pdf(F_PARETO, GRID)
 TRUTH = Strategy.const(0.0)
+
+
+def blinded(sigma):
+    """The Pareto instance with the bidder blinded by ``sigma``."""
+    return Instance.build(F_PARETO, EquilibriumConfig(mode="blinded", mu_sigma=sigma, w_sigma=sigma), GRID)
 
 
 class TestRealize:
@@ -108,7 +114,7 @@ class TestCalibrate:
 class TestDiagnose:
     def test_vcg_all_zero(self):
         rule = realize("vcg", 0.0, GRID).realized
-        report = diagnose(rule, F_PARETO, 5.0, GRID)
+        report = diagnose(rule, blinded(5.0))
         assert report.regret_at_truth == 0.0
         assert report.worst_case_regret == 0.0
         assert report.deviation_incentive == pytest.approx(0.0, abs=1e-9)
@@ -117,7 +123,7 @@ class TestDiagnose:
 
     def test_threshold_worst_case_is_the_cap(self):
         rule = realize("threshold", 3.0, GRID).realized
-        report = diagnose(rule, F_PARETO, 5.0, GRID)
+        report = diagnose(rule, blinded(5.0))
         assert report.worst_case_regret == pytest.approx(3.0)
 
     def test_threshold_violates_bang_bang(self):
@@ -131,15 +137,15 @@ class TestDiagnose:
         budget = Budget.from_gamma(0.3, F_PARETO, GRID)
         small = calibrate("small", F_PARETO, TRUTH, budget, GRID).realized
         threshold = calibrate("threshold", F_PARETO, TRUTH, budget, GRID).realized
-        rep_small = diagnose(small, F_PARETO, 1000.0, GRID)
-        rep_thresh = diagnose(threshold, F_PARETO, 1000.0, GRID)
+        rep_small = diagnose(small, blinded(1000.0))
+        rep_thresh = diagnose(threshold, blinded(1000.0))
         assert rep_thresh.worst_case_regret < rep_small.worst_case_regret
         assert rep_small.deviation_incentive < rep_thresh.deviation_incentive
 
     def test_report_serializes_flat(self):
         import dataclasses
         import json
-        report = diagnose(realize("threshold", 2.0, GRID).realized, F_PARETO, 5.0, GRID)
+        report = diagnose(realize("threshold", 2.0, GRID).realized, blinded(5.0))
         data = json.loads(json.dumps(dataclasses.asdict(report)))
         assert set(data) == {
             "regret_at_truth", "worst_case_regret", "deviation_incentive",

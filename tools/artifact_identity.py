@@ -9,7 +9,8 @@ directory: the information the solve builds (the signal-density nodes, one
 row of node values per belief and the constraint-density nodes), every
 round's rule nodes, shades, ``r_delta`` and ``s_delta`` as the solver builds
 the round, and the final rule and shade nodes of a solve that returns, as
-``repr`` floats.  So a change that moves any iterate or belief shows, even
+``repr`` floats.  Information built outside a solve, as ``diagnose`` builds
+it, is not recorded.  So a change that moves any iterate or belief shows, even
 when the written artifacts round it away or the trajectories coincide, and
 a solve that ends in an infeasible budget still records the rounds it
 played.  The final shades are ``trace.strategy`` where that is an array of
@@ -32,8 +33,9 @@ an ex-ante empirical fit of 400 seeded Pareto draws, all inside the window,
 at gamma 0.25; ex-ante ``solve`` on 30 bins; the default ex-ante solve (Pareto
 shape 1, gamma 0.25) at 50 x 400 sub-samples and undamped (alpha 1) for at
 most 12 rounds; ``diagnose`` of the shape-1,
-gamma-0.25 rule under the sigma-2 config and under the default (ex-ante)
-config, and of the 30-bin run's rule under its own config; and six runs that
+gamma-0.25 rule under the sigma-2 config, under a blinded config with mu sigma 2
+and w sigma 5 and under the default (ex-ante) config, and of the 30-bin run's
+rule under its own config; and six runs that
 exit 1: ``preset exante-pareto --gamma abc``, ``preset no-such-preset``,
 ``preset exante-pareto --sigma 1``, ``solve`` with ``{"bins": 1}``, and
 ``diagnose`` of a missing rule file and of a rule CSV with a short row.
@@ -76,7 +78,8 @@ CONFIGS = {
     "undamped_12.json": {"alpha": 1.0, "max_rounds": 12},
 }
 # configs read only by ``diagnose`` and the runs that exit 1
-OTHER_CONFIGS = {"exante.json": {}, "one_bin.json": {"bins": 1}}
+OTHER_CONFIGS = {"exante.json": {}, "one_bin.json": {"bins": 1},
+                 "blinded_2_5.json": {"mode": "blinded", "mu_sigma": 2.0, "w_sigma": 5.0}}
 
 # ``python -c RECORDER ROUNDS_JSON ARGV...``: runs the CLI and writes each
 # solve's rounds to ROUNDS_JSON
@@ -92,6 +95,8 @@ inform = equilibrium.information
 
 def recording_information(*args, **kwargs):
     signal_density, beliefs, constraint_density = out = inform(*args, **kwargs)
+    if not solves or "rule" in solves[-1]:
+        return out  # outside a solve: diagnose builds its own instance
     # a list of Tabulated beliefs or an array of node rows: the same numbers
     solves[-1]["information"] = {
         "signal_density": signal_density.values.tolist(),
@@ -150,6 +155,7 @@ def run_list() -> list[tuple[str, list[str]]]:
         name = config.removesuffix(".json")
         runs.append((name, ["solve", "--config", config, "--outdir", f"runs/{name}"]))
     for name, rule, config in (("diagnose", "exante-pareto_1_0.25", "blinded_2_2.json"),
+                               ("diagnose-blinded_2_5", "exante-pareto_1_0.25", "blinded_2_5.json"),
                                ("diagnose-exante", "exante-pareto_1_0.25", "exante.json"),
                                ("diagnose-bins_30", "bins_30", "bins_30.json")):
         runs.append((name, ["diagnose", "--rule", f"runs/{rule}/rule.csv", "--config", config]))
