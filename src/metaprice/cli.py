@@ -29,6 +29,13 @@ from .rules import diagnose
 CONFIG_ERRORS = (ValueError, TypeError, OSError)
 
 
+def _no_booleans(obj: dict) -> dict:
+    """``json.load``'s hook on each object of a config: no key takes true or false."""
+    if flags := sorted(key for key, value in obj.items() if isinstance(value, bool)):
+        raise ValueError(f"no config key takes a boolean, got one for {flags}")
+    return obj
+
+
 @dataclass
 class ExperimentConfig:
     """Flat, JSON-serializable description of one experiment."""
@@ -50,7 +57,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_hook=_no_booleans)
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}

@@ -23,8 +23,9 @@ _KINDS = ("density", "rule", "strategy")
 
 
 def whole_number(name: str, value) -> int:
-    """``value`` as an ``int``; a float passes only if it is a whole number."""
-    if not (isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()):
+    """``value`` as an ``int``; a float passes only if it is a whole number, a bool never."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 

@@ -164,6 +164,21 @@ def test_config_error_exits_one(tmp_path, capsys):
     assert "max_rounds: 3\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("overrides, keys", [
+    ({"gamma": True}, "['gamma']"),
+    ({"upper": True}, "['upper']"),
+    ({"max_rounds": True, "subsamples": True}, "['max_rounds', 'subsamples']"),
+    ({"distribution": {"family": "gpd", "shape": False}}, "['shape']"),
+], ids=["gamma", "upper", "max_rounds-subsamples", "distribution-shape"])
+def test_boolean_config_values_are_config_errors(tmp_path, capsys, overrides, keys):
+    # JSON true is not the number 1: no key takes a boolean, so each run exits 1 and writes nothing
+    assert main(["solve", "--config", str(write_config(tmp_path, **overrides))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: no config key takes a boolean, got one for {keys}\n"
+    assert not (tmp_path / "out").exists()
+
+
 BLINDED_NO_MASS = {"mode": "blinded", "mu_sigma": 1e-6, "w_sigma": 1e-6, "max_rounds": 2}
 NORMAL_NO_MASS = {"distribution": {"family": "truncated_normal", "mean": 5, "stddev": 1e-9}}
 

@@ -37,7 +37,8 @@ def test_grid_rejects_bad_bounds():
     with pytest.raises(ValueError):
         make_grid(0.0, 1.0, 10, 0)
     # counts that are not whole numbers are rejected, not truncated or parsed
-    for bins, subsamples in ((50.9, 200), (50, 200.5), (float("nan"), 200), (50, float("inf")), ("50", 200)):
+    for bins, subsamples in ((50.9, 200), (50, 200.5), (float("nan"), 200), (50, float("inf")), ("50", 200),
+                             (True, 200), (50, True)):
         with pytest.raises(ValueError):
             make_grid(0.0, 10.0, bins, subsamples)
 
