@@ -145,8 +145,8 @@ def _greedy_fill(c: np.ndarray, w: np.ndarray, ub: np.ndarray, k: float) -> np.n
     """Exact solution of ``min c.r`` s.t. ``w.r >= k``, ``0 <= r <= ub``.
 
     Bins are filled in descending ``w/c`` (zero-cost collecting bins first);
-    tied ratios fill from the lowest bin index.  The last bin is set
-    fractionally so the constraint binds with equality.
+    tied ratios fill from the lowest bin index.  The first bin that does not fit
+    is set fractionally so the constraint binds with equality; the fill stops there.
     """
     r = np.zeros_like(ub)
     if k <= 0.0:
@@ -158,18 +158,14 @@ def _greedy_fill(c: np.ndarray, w: np.ndarray, ub: np.ndarray, k: float) -> np.n
             f"(shortfall {k - capacity:.6g})"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(w > 0.0, np.where(c > 0.0, w / c, np.inf), 0.0)
+        ratio = np.where(c > 0.0, w / c, np.inf)
     order = np.lexsort((np.arange(len(ub)), -ratio))
-
-    remaining = k
-    for b in order:
-        if remaining <= 0.0:
-            break
-        if w[b] <= 0.0:
-            continue
-        take = min(float(ub[b]), remaining / w[b])
-        r[b] = take
-        remaining -= take * w[b]
+    order = order[w[order] > 0.0]  # a bin that collects nothing is never filled
+    wo, ubo = w[order], ub[order]
+    # what each bin could take with every earlier bin at its bound: the remainders, in order, over w
+    fits = np.subtract.accumulate(np.concatenate(([k], ubo * wo)))[:-1] / wo
+    m = np.append(np.flatnonzero(fits < ubo), len(order))[0]  # the marginal bin
+    r[order[:m + 1]] = np.clip(fits[:m + 1], 0.0, ubo[:m + 1])
     return r
 
 

@@ -6,9 +6,11 @@ import pytest
 from metaprice.bidder import Strategy, retained_integrand
 from metaprice.center import (Budget, InfeasibleBudgetError, PaymentRule, collected, constraint_weights,
                               k_vcg, payment_rule, ratio_diagnostics, solve_center)
+from metaprice import equilibrium
 from metaprice.center import _greedy_fill
-from metaprice.cli import _write_csv, read_rule_csv
+from metaprice.cli import PRESETS, _write_csv, build_distribution, build_grid, preset_config, read_rule_csv
 from metaprice.distributions import burr_xii, cdf, fit_empirical, gpd, tabulate_pdf, uniform
+from metaprice.equilibrium import EquilibriumConfig, find_equilibrium
 from metaprice.grid import Tabulated, make_grid
 from metaprice.rules import calibrate, realize
 from test_distributions import families
@@ -260,6 +262,46 @@ class TestGreedyAgainstOracle:
             r = _greedy_fill(c, w, ub, k)
             interior = np.sum((r > 1e-12) & (r < ub - 1e-12))
             assert interior <= 1
+
+
+def assert_one_marginal_bin(rule, collects, k):
+    """At most one node strictly between 0 and its midpoint, and the budget row
+    collecting ``k`` (``collects``, ``w . r``) to rounding."""
+    inside = np.flatnonzero((rule.values > 0.0) & (rule.values < rule.grid.mids))
+    assert inside.size <= 1, dict(zip(inside.tolist(), rule.values[inside].tolist()))
+    assert collects == pytest.approx(k, rel=1e-12, abs=0.0)
+
+
+class TestFillStopsAtTheMarginalBin:
+    """The fill leaves nothing past its marginal bin: a remainder's rounding
+    residue used to fill a bin or two more with dust (ROADMAP item 3)."""
+
+    def test_pareto_at_shade_0_2(self):
+        # the fill loop left bin 39 at 6.5e-16 beside the marginal bin 40 (4.157)
+        budget = Budget(0.1, k_vcg(F_PARETO, GRID))
+        rule = solve_center(F_TAB, F_TAB, 0.2, budget, GRID)
+        assert_one_marginal_bin(rule, collected(rule, 0.2, F_TAB, GRID), budget.k)
+        assert 0.0 < rule.values[40] < GRID.mids[40] and rule.values[39] == 0.0
+
+    @pytest.mark.parametrize("preset", list(PRESETS))
+    def test_each_presets_first_rounds(self, monkeypatch, preset):
+        # blinded-pareto's second round left dust in the loop
+        solves = []
+
+        def recording(objective, constraint, shades, budget, grid):
+            rule = solve_center(objective, constraint, shades, budget, grid)
+            solves.append((rule, collected(rule, shades, constraint, grid), budget.k))
+            return rule
+
+        monkeypatch.setattr(equilibrium, "solve_center", recording)
+        config = preset_config(preset, {})
+        grid = build_grid(config)
+        find_equilibrium(build_distribution(config, grid),
+                         EquilibriumConfig(mode=config.mode, gamma=config.gamma, mu_sigma=config.mu_sigma,
+                                           w_sigma=config.w_sigma, max_rounds=5), grid)
+        assert len(solves) == 5
+        for rule, collects, k in solves:
+            assert_one_marginal_bin(rule, collects, k)
 
 
 class TestShadeProfile:
