@@ -13,15 +13,13 @@ the round, and the final rule and shade nodes of a solve that returns, as
 it, is not recorded.  So a change that moves any iterate or belief shows, even
 when the written artifacts round it away or the trajectories coincide, and
 a solve that ends in an infeasible budget still records the rounds it
-played.  The final shades are ``trace.strategy`` where that is an array of
-node values, and ``trace.strategy.shade_at(mids)`` where it is a strategy
-object, so the recorder reads a base from before or after shade profiles
-became plain arrays.  Every artifact file, exit code, stdout and stderr is compared byte
+played.  Every artifact file, exit code, stdout and stderr is compared byte
 for byte, with stdout's ``runtime:`` line (wall time) left out.
 Prints each difference and exits 1 if there is one, 0 otherwise.  A
 differing ``summary.json`` is shown key by key with the base value, the
-working tree's value and their relative difference; differing stdout is
-shown line by line.
+working tree's value and their relative difference; a differing ``*.csv``
+or ``rounds.json`` with how many of its numbers differ and the largest
+absolute and relative difference; differing stdout line by line.
 
     python tools/artifact_identity.py [--base REV]
 
@@ -35,18 +33,20 @@ shape 1, gamma 0.25) at 50 x 400 sub-samples and undamped (alpha 1) for at
 most 12 rounds; ``diagnose`` of the shape-1,
 gamma-0.25 rule under the sigma-2 config, under a blinded config with mu sigma 2
 and w sigma 5 and under the default (ex-ante) config, and of the 30-bin run's
-rule under its own config; and six runs that
+rule under its own config; and seven runs that
 exit 1: ``preset exante-pareto --gamma abc``, ``preset no-such-preset``,
-``preset exante-pareto --sigma 1``, ``solve`` with ``{"bins": 1}``, and
-``diagnose`` of a missing rule file and of a rule CSV with a short row.
+``preset exante-pareto --sigma 1``, ``solve`` with ``{"bins": 1}``, an
+ex-ante ``solve`` with ``mu_sigma`` and ``w_sigma`` set, and ``diagnose``
+of a missing rule file and of a rule CSV with a short row.
 Every path is relative, so both sides print the same bytes.
-Standard library only (the recorder runs beside metaprice and uses its numpy);
+Standard library only (the recorder runs beside metaprice);
 the file name keeps it out of pytest.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import difflib
 import io
 import json
@@ -79,14 +79,14 @@ CONFIGS = {
 }
 # configs read only by ``diagnose`` and the runs that exit 1
 OTHER_CONFIGS = {"exante.json": {}, "one_bin.json": {"bins": 1},
-                 "blinded_2_5.json": {"mode": "blinded", "mu_sigma": 2.0, "w_sigma": 5.0}}
+                 "blinded_2_5.json": {"mode": "blinded", "mu_sigma": 2.0, "w_sigma": 5.0},
+                 "exante_mu_sigma.json": {"mode": "exante", "mu_sigma": 2.0, "w_sigma": 2.0, "max_rounds": 2}}
 
 # ``python -c RECORDER ROUNDS_JSON ARGV...``: runs the CLI and writes each
 # solve's rounds to ROUNDS_JSON
 RECORDER = """
 import json, sys
 from pathlib import Path
-import numpy as np
 from metaprice import cli, equilibrium
 
 rounds_path, argv = Path(sys.argv[1]), sys.argv[2:]
@@ -97,10 +97,9 @@ def recording_information(*args, **kwargs):
     signal_density, beliefs, constraint_density = out = inform(*args, **kwargs)
     if not solves or "rule" in solves[-1]:
         return out  # outside a solve: diagnose builds its own instance
-    # a list of Tabulated beliefs or an array of node rows: the same numbers
     solves[-1]["information"] = {
         "signal_density": signal_density.values.tolist(),
-        "beliefs": np.asarray([getattr(b, "values", b) for b in beliefs]).tolist(),
+        "beliefs": beliefs.tolist(),
         "constraint_density": constraint_density.values.tolist()}
     return out
 
@@ -113,10 +112,7 @@ def recording_round(*args, **kwargs):
 def recording(*args, **kwargs):
     solves.append({"rounds": []})
     trace = solve(*args, **kwargs)
-    strategy = trace.strategy
-    # the shade nodes as an array, or an object that evaluates them at the nodes
-    shades = strategy if isinstance(strategy, np.ndarray) else strategy.shade_at(trace.rule.grid.mids)
-    solves[-1].update(rule=trace.rule.values.tolist(), shades=shades.tolist())
+    solves[-1].update(rule=trace.rule.values.tolist(), shades=trace.strategy.tolist())
     return trace
 
 cli.find_equilibrium, equilibrium.Round = recording, recording_round
@@ -163,7 +159,8 @@ def run_list() -> list[tuple[str, list[str]]]:
     for name, argv in (("error-gamma-abc", ["preset", "exante-pareto", "--gamma", "abc"]),
                        ("error-no-such-preset", ["preset", "no-such-preset"]),
                        ("error-preset-flag", ["preset", "exante-pareto", "--sigma", "1"]),
-                       ("error-one-bin", ["solve", "--config", "one_bin.json"])):
+                       ("error-one-bin", ["solve", "--config", "one_bin.json"]),
+                       ("error-exante-mu-sigma", ["solve", "--config", "exante_mu_sigma.json"])):
         runs.append((name, [*argv, "--outdir", f"runs/{name}"]))
     for name, rule in (("error-missing-rule", "missing.csv"), ("error-short-row", "short_row.csv")):
         runs.append((name, ["diagnose", "--rule", rule, "--config", "exante.json"]))
@@ -200,32 +197,60 @@ def run_side(src: Path, workdir: Path) -> dict[str, dict]:
     return results
 
 
+def is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def rel(a: float, b: float) -> float:
+    return abs(b - a) / abs(a) if a else float("inf")
+
+
+def spread(old: list, new: list) -> str:
+    """How many entries of two number lists differ, and the largest absolute and relative difference."""
+    if len(old) != len(new):
+        return f"{len(old)} numbers at the base, {len(new)} in the working tree"
+    moved = [(a, b) for a, b in zip(old, new) if a != b]
+    if not moved:
+        return f"all {len(old)} numbers equal; their text differs"
+    return (f"{len(moved)} of {len(old)} numbers differ, largest absolute difference "
+            f"{max(abs(b - a) for a, b in moved):.3g}, largest relative difference "
+            f"{max(rel(a, b) for a, b in moved):.3g}")
+
+
 def relative(old, new) -> str:
-    """Size of a change: the relative difference, or for equal-length number
-    lists how many entries moved and the largest relative difference."""
-    def rel(a, b):
-        return abs(b - a) / abs(a) if a else float("inf")
-
-    def is_number(v):
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-
+    """Size of a change: the relative difference, or :func:`spread` for number lists."""
     if is_number(old) and is_number(new):
         return f"relative difference {rel(old, new):.3g}"
-    if (isinstance(old, list) and isinstance(new, list) and len(old) == len(new)
-            and all(map(is_number, old + new))):
-        moved = [rel(a, b) for a, b in zip(old, new) if a != b]
-        return f"{len(moved)} of {len(old)} entries differ, largest relative difference {max(moved):.3g}"
+    if isinstance(old, list) and isinstance(new, list) and all(map(is_number, old + new)):
+        return spread(old, new)
     return "not numbers"
 
 
+def numbers(key: str, data: bytes) -> list:
+    """Every number of a CSV artifact below its header, or of ``rounds.json`` in file order."""
+    if key.endswith(".csv"):
+        return [float(v) for row in list(csv.reader(io.StringIO(data.decode())))[1:] for v in row]
+
+    def walk(value):
+        if isinstance(value, (list, dict)):
+            for v in value.values() if isinstance(value, dict) else value:
+                yield from walk(v)
+        elif is_number(value):
+            yield value
+    return list(walk(json.loads(data)))
+
+
 def detail(key: str, old: bytes | int | None, new: bytes | int | None) -> list[str]:
-    """Lines that show what differs: summary keys with sizes, stdout lines."""
+    """Lines that show what differs: summary keys with sizes, sizes for CSV
+    files and ``rounds.json``, stdout lines."""
     if old is None or new is None:
         return [f"present only {'in the working tree' if old is None else 'at the base'}"]
     if key == "file summary.json":
         old, new = json.loads(old), json.loads(new)
         return [f"{k}: {old.get(k)!r} -> {new.get(k)!r} ({relative(old.get(k), new.get(k))})"
                 for k in sorted(set(old) | set(new)) if old.get(k) != new.get(k)]
+    if key.endswith(".csv") or key == "file rounds.json":
+        return [spread(numbers(key, old), numbers(key, new))]
     if key in ("stdout", "stderr"):
         return [line for line in difflib.ndiff(old.decode().splitlines(), new.decode().splitlines())
                 if line[:2] in ("- ", "+ ")]
