@@ -54,6 +54,36 @@ class Strategy:
         return table.values
 
 
+def _pieces(rule) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(cuts, nodes, slopes, lefts)``: ``rule`` as ``bins + 1`` linear pieces.
+
+    On ``cuts[j] <= x < cuts[j + 1]`` (the nodes between ``-inf`` and
+    ``inf``) ``r(x)`` is ``slopes[j] * (x - nodes[j]) + lefts[j]``, with
+    ``np.interp``'s slope ``(y[j+1] - y[j]) / (x[j+1] - x[j])`` inside and
+    slope 0 at the two clamped ends; at a node that is ``0 + y``, the node value.
+    """
+    mids, y = rule.grid.mids, rule.values
+    cuts = np.concatenate(([-math.inf], mids, [math.inf]))
+    slopes = np.concatenate(([0.0], (y[1:] - y[:-1]) / (mids[1:] - mids[:-1]), [0.0]))
+    return cuts, np.concatenate((mids[:1], mids)), slopes, np.concatenate((y[:1], y))
+
+
+def _support(rule) -> tuple[float, float]:
+    """``(lo, hi)``: the nodes just outside ``rule``'s outermost nonzero nodes.
+
+    The rule is exactly zero at and beyond both: at ``x <= lo`` and at
+    ``x >= hi``.  A bound is infinite where a nonzero node is an end node;
+    the zero rule gives ``(inf, inf)``.
+    """
+    nonzero = np.flatnonzero(rule.values)
+    if nonzero.size == 0:
+        return math.inf, math.inf
+    mids, first, last = rule.grid.mids, nonzero[0], nonzero[-1]
+    lo = float(mids[first - 1]) if first > 0 else -math.inf
+    hi = float(mids[last + 1]) if last + 1 < len(mids) else math.inf
+    return lo, hi
+
+
 def _tail_search(keys, v: float, i0: int, bound: float, side) -> int:
     """``i0 + np.searchsorted(xs[i0:] - v, bound, side)`` on ``keys``, the ascending
     ``xs`` as Python floats, with ``side`` ``bisect_left`` or ``bisect_right``.
@@ -75,8 +105,8 @@ class RetainedRow:
 
     ``fill(v)`` overwrites ``fill.row`` with ``I[x < v] x + I[x >= v] r(x - v)``
     and returns it.  The rule is evaluated only on the winning tail's window
-    inside ``rule.support``, one linear piece at a time: ``slope * (x - node)
-    + left`` in numpy's order of operations (``PaymentRule.pieces``), the same
+    inside its :func:`_support`, one linear piece at a time: ``slope * (x - node)
+    + left`` in numpy's order of operations (:func:`_pieces`), the same
     bits as ``np.interp``.  The rest of the tail is zero, which is what
     interpolation between or past zero nodes returns.
 
@@ -88,7 +118,7 @@ class RetainedRow:
     """
 
     def __init__(self, rule, xs: np.ndarray) -> None:
-        self.rule, self.xs = rule, xs
+        self.xs, self.support, self.pieces = xs, _support(rule), _pieces(rule)
         # the bounds are searched with bisect on xs read in place as Python floats
         self._keys = memoryview(xs)
         self._counts = self._spread = None
@@ -104,7 +134,7 @@ class RetainedRow:
 
     def __call__(self, v: float) -> np.ndarray:
         keys, xs, row = self._keys, self.xs, self._row
-        lo, hi = self.rule.support
+        lo, hi = self.support
         i0 = bisect_left(keys, v)
         a = _tail_search(keys, v, i0, lo, bisect_right)
         b = _tail_search(keys, v, i0, hi, bisect_left)
@@ -114,7 +144,7 @@ class RetainedRow:
             row[i0:a] = 0.0
             row[b:] = 0.0
         x = np.subtract(xs[a:b], v, out=row[a:b])
-        cuts, nodes, slopes, lefts = self.rule.pieces
+        cuts, nodes, slopes, lefts = self.pieces
         at = x.searchsorted(cuts)
         counts = at[1:] - at[:-1]
         key = counts.tobytes()
@@ -180,6 +210,7 @@ class KeptScan:
     """The bidder's grid scan kept for one solve: its ``beliefs`` and ``grid``,
     the scan shades, their ``(shades, samples)`` matrix of retained regret
     under the last rule, and each belief's quadrature weights, built once.
+    ``respond(rule)`` is the bidder's one best-response call.
 
     A row sits at a fixed shade, so which of its samples fall in which of the
     rule's linear pieces depends on the grid alone.  ``update(rule)`` fills
@@ -199,7 +230,7 @@ class KeptScan:
         self.matrix = self._starts = self._key = None
 
     def update(self, rule) -> np.ndarray:
-        cuts, nodes, slopes, lefts = rule.pieces
+        cuts, nodes, slopes, lefts = _pieces(rule)
         key = np.stack((slopes, lefts)).view(np.int64)
         xs, shades = self.xs, self.shades
         if self.matrix is None:
@@ -227,6 +258,18 @@ class KeptScan:
                 self.matrix[rows, cols] = x
         self._key = key
         return self.matrix
+
+    def respond(self, rule) -> tuple[np.ndarray, np.ndarray]:
+        """Best shade and its attained objective against each belief in turn."""
+        # the integrand does not depend on the belief: one scan matrix serves every
+        # belief, and one row refilled by every Brent evaluation
+        matrix, cands = self.update(rule), self.shades.tolist()
+        fill = RetainedRow(rule, self.xs)
+        shades = np.empty(len(self.weights))
+        values = np.empty(len(self.weights))
+        for b, weights in enumerate(self.weights):
+            shades[b], values[b] = _best_response_with_value(fill, weights, cands, matrix)
+        return shades, values
 
 
 def _sign(t: float) -> float:
@@ -319,7 +362,7 @@ def _best_response_with_value(fill: RetainedRow, weights: np.ndarray, cands: lis
                               matrix: np.ndarray) -> tuple[float, float]:
     """Best shade against a belief's quadrature weights and its expected
     retained regret, given the scan shades, the rule's scan matrix and its
-    row evaluator on ``grid.samples`` (:func:`_best_responses`)."""
+    row evaluator on ``grid.samples`` (:meth:`KeptScan.respond`)."""
 
     def objective(s: float) -> float:
         return float(fill(s) @ weights)
@@ -343,19 +386,6 @@ def _best_response_with_value(fill: RetainedRow, weights: np.ndarray, cands: lis
     return float(s_star), float(best_val)
 
 
-def _best_responses(rule, scan: KeptScan) -> tuple[np.ndarray, np.ndarray]:
-    """Best shade and its attained objective against each of ``scan``'s beliefs in turn."""
-    # the integrand does not depend on the belief: one scan matrix serves every
-    # belief, and one row refilled by every Brent evaluation
-    matrix, cands = scan.update(rule), scan.shades.tolist()
-    fill = RetainedRow(rule, scan.xs)
-    shades = np.empty(len(scan.weights))
-    values = np.empty(len(scan.weights))
-    for b, weights in enumerate(scan.weights):
-        shades[b], values[b] = _best_response_with_value(fill, weights, cands, matrix)
-    return shades, values
-
-
 def best_response_constant(rule, belief: Tabulated, grid: Grid) -> float:
     """Constant shade minimizing the expected retained regret.
 
@@ -363,7 +393,7 @@ def best_response_constant(rule, belief: Tabulated, grid: Grid) -> float:
     the best value found, ``TIE_RTOL`` = 1e-4) the shade closest to zero is
     returned; the whole procedure is deterministic.
     """
-    return float(_best_responses(rule, KeptScan(belief.values[None, :], grid))[0][0])
+    return float(KeptScan(belief.values[None, :], grid).respond(rule)[0][0])
 
 
 def regret_at_truth(rule, f: DistributionSpec, grid: Grid) -> float:
@@ -383,7 +413,7 @@ def deviation_incentive(rule, truth: float, signal_density: Tabulated, scan: Kep
     integrates the exact pdf while the bidder's values use the tabulated
     ``f``, so the difference can dip below zero (ROADMAP item 10).
     """
-    _, values = _best_responses(rule, scan)
+    _, values = scan.respond(rule)
     grid, xs = scan.grid, scan.xs
     # each signal node's value, interpolated between nodes and clamped at the ends
     value_curve = np.interp(xs, grid.mids, np.broadcast_to(values, grid.bins))

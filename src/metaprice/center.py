@@ -15,9 +15,7 @@ strictly between its bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -67,41 +65,12 @@ class PaymentRule(Tabulated):
     kind: Kind = field(default="rule", init=False)
 
     def __post_init__(self) -> None:
-        # a -0.0 node is stored as +0.0, the value its piece gives; x + 0.0 is x for any other x
+        # a -0.0 node is stored as +0.0, the value the bidder's piece form (bidder._pieces)
+        # gives there and the one rule.csv writes; x + 0.0 is x for any other x
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float) + 0.0)
         super().__post_init__()
         if np.any(self.values < 0.0) or np.any(self.values > self.grid.mids):
             raise ValueError("payment rule must satisfy 0 <= r(psi) <= psi at every node")
-
-    @cached_property
-    def pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(cuts, nodes, slopes, lefts)``: the rule as ``bins + 1`` linear pieces.
-
-        On ``cuts[j] <= x < cuts[j + 1]`` (the nodes between ``-inf`` and
-        ``inf``) ``r(x)`` is ``slopes[j] * (x - nodes[j]) + lefts[j]``, with
-        ``np.interp``'s slope ``(y[j+1] - y[j]) / (x[j+1] - x[j])`` inside and
-        slope 0 at the two clamped ends; at a node that is ``0 + y``, the node value.
-        """
-        mids, y = self.grid.mids, self.values
-        cuts = np.concatenate(([-math.inf], mids, [math.inf]))
-        slopes = np.concatenate(([0.0], (y[1:] - y[:-1]) / (mids[1:] - mids[:-1]), [0.0]))
-        return cuts, np.concatenate((mids[:1], mids)), slopes, np.concatenate((y[:1], y))
-
-    @cached_property
-    def support(self) -> tuple[float, float]:
-        """``(lo, hi)``: the nodes just outside the outermost nonzero nodes.
-
-        The rule is exactly zero at and beyond both: at ``x <= lo`` and at
-        ``x >= hi``.  A bound is infinite where a nonzero node is an end node;
-        the zero rule gives ``(inf, inf)``.
-        """
-        nonzero = np.flatnonzero(self.values)
-        if nonzero.size == 0:
-            return math.inf, math.inf
-        mids, first, last = self.grid.mids, nonzero[0], nonzero[-1]
-        lo = float(mids[first - 1]) if first > 0 else -math.inf
-        hi = float(mids[last + 1]) if last + 1 < len(mids) else math.inf
-        return lo, hi
 
 
 def payment_rule(grid: Grid, values) -> PaymentRule:

@@ -15,7 +15,7 @@ from typing import Literal
 
 import numpy as np
 
-from .bidder import KeptScan, _best_responses
+from .bidder import KeptScan
 from .blinding import information
 from .center import Budget, PaymentRule, payment_rule, solve_center
 from .distributions import DistributionSpec
@@ -111,7 +111,7 @@ def find_equilibrium(f: DistributionSpec, config: EquilibriumConfig, grid: Grid)
 
     for _ in range(config.max_rounds):
         rule_t = solve_center(instance.signal_density, instance.constraint_density, s_bar, instance.budget, grid)
-        s_t, _ = _best_responses(rule_t, instance.bidder)
+        s_t, _ = instance.bidder.respond(rule_t)
 
         r_next = (1.0 - alpha) * r_bar + alpha * rule_t.values
         s_next = (1.0 - alpha) * s_bar + alpha * s_t

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linprog
 
-from metaprice.bidder import (TIE_RTOL, KeptScan, Strategy, _best_responses, best_response_constant,
+from metaprice.bidder import (TIE_RTOL, KeptScan, Strategy, best_response_constant,
                               regret_at_truth, shade_objective)
 from metaprice.blinding import information
 from metaprice.center import (Budget, InfeasibleBudgetError, collected, constraint_weights,
@@ -378,19 +378,19 @@ def test_criterion_07_blinding_limits():
     identity_rule = payment_rule(GRID, GRID.mids)
     details = []
 
-    wide = _best_responses(identity_rule, KeptScan(information(F_PARETO, 1000.0, 1000.0, GRID)[1], GRID))[0]
+    wide = KeptScan(information(F_PARETO, 1000.0, 1000.0, GRID)[1], GRID).respond(identity_rule)[0]
     flat = float(np.max(np.abs(wide - wide.mean())))
     ok = flat < GRID.width
     details.append(f"sigma=1000 max|s-mean|={flat:.3f}")
 
-    sharp = _best_responses(identity_rule, KeptScan(information(F_PARETO, 0.05, 0.05, GRID)[1], GRID))[0]
+    sharp = KeptScan(information(F_PARETO, 0.05, 0.05, GRID)[1], GRID).respond(identity_rule)[0]
     track = float(np.max(np.abs(sharp - GRID.mids)))
     ok = ok and track < GRID.width
     details.append(f"sigma=0.05 max|s-psi|={track:.3f}")
 
     gaps = []
     for sigma in (1000.0, 10.0, 5.0, 2.0):
-        s = _best_responses(identity_rule, KeptScan(information(F_PARETO, sigma, sigma, GRID)[1], GRID))[0]
+        s = KeptScan(information(F_PARETO, sigma, sigma, GRID)[1], GRID).respond(identity_rule)[0]
         gaps.append(float(np.mean(np.abs(s - GRID.mids))))
     monotone = all(a >= b - 1e-9 for a, b in zip(gaps, gaps[1:]))
     ok = ok and monotone

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from metaprice.bidder import (_BRENT_XATOL, KeptScan, RetainedRow, Strategy, _best_responses, _brent_bounded,
-                              _local_minima, _scan_shades, _sign, best_response_constant,
+from metaprice.bidder import (_BRENT_XATOL, KeptScan, RetainedRow, Strategy, _brent_bounded,
+                              _local_minima, _pieces, _scan_shades, _sign, _support, best_response_constant,
                               deviation_incentive, regret_at_truth, retained_integrand, shade_objective)
 from metaprice.blinding import information
 from metaprice.center import PaymentRule, payment_rule
@@ -172,7 +172,7 @@ class TestShadeObjective:
     @pytest.mark.parametrize("name", list(WINDOW_RULES))
     def test_support_names_the_zero_nodes_around_the_nonzero_ones(self, name):
         rule, support = WINDOW_RULES[name]
-        assert rule.support == support
+        assert _support(rule) == support
         lo, hi = support
         # the rule is exactly zero at and beyond both bounds, nodes included
         probes = np.concatenate((GRID.mids, GRID.samples, GRID.edges, [-1.0, GRID.upper + 1.0]))
@@ -225,7 +225,8 @@ def random_rules(grid, rng, n=4):
 
 
 class TestRulePieces:
-    """The evaluator fills each row with the bits of a fresh ``np.interp`` fill."""
+    """The evaluator, reading the rule through :func:`_pieces` and
+    :func:`_support`, fills each row with the bits of a fresh ``np.interp`` fill."""
 
     def test_window_rules_match_interp_on_every_shade(self):
         shades = np.concatenate((_scan_shades(GRID), [-1.0, 0.123456789, 10.5]))
@@ -298,12 +299,12 @@ class TestRulePieces:
 def window_state(rule, xs, v):
     """``(i0, a, b)`` and the window's piece counts at the shade ``v``, found
     with ``np.searchsorted`` on the computed ``xs - v``."""
-    lo, hi = rule.support
+    lo, hi = _support(rule)
     i0 = int(np.searchsorted(xs, v))
     tail = xs[i0:] - v
     a = i0 + int(np.searchsorted(tail, lo, "right"))
     b = i0 + int(np.searchsorted(tail, hi, "left"))
-    return (i0, a, b), np.diff(np.searchsorted(tail[a - i0:b - i0], rule.pieces[0])).tobytes()
+    return (i0, a, b), np.diff(np.searchsorted(tail[a - i0:b - i0], _pieces(rule)[0])).tobytes()
 
 
 def shade_walk(xs, support):
@@ -327,7 +328,7 @@ def test_one_evaluator_through_shade_walks_matches_fresh_fills():
     xs, seen = GRID.samples, set()
     for name, rule in rules:
         fill, last = RetainedRow(rule, xs), None
-        for v in shade_walk(xs, rule.support):
+        for v in shade_walk(xs, _support(rule)):
             assert fill(v).tobytes() == fresh_bytes(rule, xs, v), (name, v)
             state = window_state(rule, xs, v)
             if last is not None:
@@ -423,7 +424,7 @@ class TestKeptScan:
         few = 0.75 * grid.mids
         few[grid.bins // 2] = 0.0
         rules = [(a, payment_rule(grid, a * grid.mids)) for a in (0.25, 0.5, 0.75)] + [("few", payment_rule(grid, few))]
-        keys = [np.stack(rule.pieces[2:]).view(np.int64) for _, rule in rules]
+        keys = [np.stack(_pieces(rule)[2:]).view(np.int64) for _, rule in rules]
         assert all((k0 != k1).any(axis=0).all() for k0, k1 in zip(keys[:2], keys[1:3]))
         assert (keys[2] != keys[3]).any(axis=0).sum() == 2
         assert self.walk(rules[:3], grid)._starts is None
@@ -536,12 +537,12 @@ class TestBestResponseConstant:
 
 class TestBestResponseFunctional:
     def test_zero_rule_all_zero(self):
-        shades = _best_responses(ZERO_RULE, KeptScan(posteriors(F_PARETO, 5.0), GRID))[0]
+        shades = KeptScan(posteriors(F_PARETO, 5.0), GRID).respond(ZERO_RULE)[0]
         assert np.all(shades == 0.0)
 
     def test_wide_blinding_collapses_to_ex_ante(self):
         rule = small_rule(6.1)
-        shades = _best_responses(rule, KeptScan(posteriors(F_PARETO, 1000.0), GRID))[0]
+        shades = KeptScan(posteriors(F_PARETO, 1000.0), GRID).respond(rule)[0]
         s_exante = best_response_constant(rule, F_TAB, GRID)
         assert np.max(np.abs(shades - s_exante)) < GRID.width
 
@@ -552,13 +553,13 @@ class TestBestResponseFunctional:
         # one scan matrix shared by every signal gives exactly the responses
         # each posterior gets on its own
         posts = posteriors(F_PARETO, sigma)
-        alone = np.array([np.concatenate(_best_responses(rule, KeptScan(belief[None, :], GRID))) for belief in posts])
-        shades, values = _best_responses(rule, KeptScan(posts, GRID))
+        alone = np.array([np.concatenate(KeptScan(belief[None, :], GRID).respond(rule)) for belief in posts])
+        shades, values = KeptScan(posts, GRID).respond(rule)
         assert np.all(shades == alone[:, 0])
         assert np.all(values == alone[:, 1])
 
     def test_sharp_blinding_bids_critical_value(self):
-        shades = _best_responses(IDENTITY_RULE, KeptScan(posteriors(F_PARETO, 0.05), GRID))[0]
+        shades = KeptScan(posteriors(F_PARETO, 0.05), GRID).respond(IDENTITY_RULE)[0]
         assert np.max(np.abs(shades - GRID.mids)) < GRID.width
 
 

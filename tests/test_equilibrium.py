@@ -10,7 +10,7 @@ import pytest
 
 import metaprice
 from metaprice import blinding
-from metaprice.bidder import KeptScan, Strategy, _best_responses, best_response_constant, shade_objective
+from metaprice.bidder import KeptScan, Strategy, best_response_constant, shade_objective
 from metaprice.center import collected, solve_center
 from metaprice.distributions import gpd, tabulate_pdf
 from metaprice.equilibrium import EquilibriumConfig, find_equilibrium, format_report
@@ -101,7 +101,7 @@ def test_each_rounds_shades_are_a_fresh_best_response(f, config):
     trace = find_equilibrium(f, config, GRID)
     assert trace.n_rounds > 1
     for rnd in trace.rounds:
-        assert rnd.shades.tobytes() == _best_responses(rnd.rule, KeptScan(trace.instance.bidder.beliefs, GRID))[0].tobytes()
+        assert rnd.shades.tobytes() == KeptScan(trace.instance.bidder.beliefs, GRID).respond(rnd.rule)[0].tobytes()
 
 
 def test_blinded_solve_builds_posteriors_once(monkeypatch):
