@@ -46,6 +46,8 @@ class EquilibriumConfig:
             raise ValueError("max_rounds must be >= 1")
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
+        if self.mode == "exante" and (unread := [k for k in ("mu_sigma", "w_sigma") if getattr(self, k) is not None]):
+            raise ValueError(f"exante mode reads neither mu_sigma nor w_sigma, got {unread}")
         if self.mode == "blinded":
             if self.mu_sigma is None or not self.mu_sigma > 0.0:
                 raise ValueError("blinded mode requires mu_sigma > 0")
@@ -81,8 +83,7 @@ class Instance:
         budget row by ``f`` and the bidder answers ``f`` with one shade; blinded, by the
         bidder- and center-blinded densities, and the bidder answers each signal's posterior."""
         budget = Budget.from_gamma(config.gamma, f, grid)
-        signal_density, beliefs, constraint_density = information(
-            f, config.mu_sigma if config.mode == "blinded" else None, config.w_sigma, grid)
+        signal_density, beliefs, constraint_density = information(f, config.mu_sigma, config.w_sigma, grid)
         return cls(f, grid, budget, signal_density, constraint_density, KeptScan(beliefs, grid))
 
 

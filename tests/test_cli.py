@@ -162,6 +162,18 @@ def test_config_error_exits_one(tmp_path, capsys):
     # a whole-number float is a round count
     assert main(["solve", "--config", str(write_config(tmp_path, max_rounds=3.0))]) in (0, 3)
     assert "max_rounds: 3\n" in capsys.readouterr().out
+    # ex ante nothing is blinded: solve and diagnose name a blinding width, not ignore it, and write nothing
+    widths = write_config(tmp_path, mu_sigma=2.0, w_sigma=2.0, max_rounds=2, outdir=str(tmp_path / "widths"))
+    grid = make_grid(0, 10, 50, 200)
+    _write_csv(tmp_path / "rule.csv", ["psi", "payment_above_critical"], zip(grid.mids, 0.5 * grid.mids))
+    for argv in (["solve", "--config", str(widths)],
+                 ["diagnose", "--rule", str(tmp_path / "rule.csv"), "--config", str(widths)]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == ("config error: exante mode reads neither mu_sigma nor w_sigma, "
+                                "got ['mu_sigma', 'w_sigma']\n"), argv
+    assert not (tmp_path / "widths").exists()
 
 
 @pytest.mark.parametrize("overrides, keys", [

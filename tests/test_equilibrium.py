@@ -1,6 +1,7 @@
 """Damped iterated best response: fixed points, traces, determinism."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,14 @@ class TestConfig:
             EquilibriumConfig(mode="blinded")  # sigmas missing
         with pytest.raises(ValueError):
             EquilibriumConfig(mode="blinded", mu_sigma=1.0, w_sigma=-2.0)
+
+    @pytest.mark.parametrize("widths, unread", [({"mu_sigma": 2.0}, "['mu_sigma']"),
+                                                ({"w_sigma": 2.0}, "['w_sigma']"),
+                                                ({"mu_sigma": 2.0, "w_sigma": 5.0}, "['mu_sigma', 'w_sigma']")])
+    def test_exante_takes_no_blinding_width(self, widths, unread):
+        # ex ante nothing is blinded: a width would be recorded but never read
+        with pytest.raises(ValueError, match=re.escape(f"exante mode reads neither mu_sigma nor w_sigma, got {unread}")):
+            EquilibriumConfig(mode="exante", **widths)
 
 
 def test_vcg_fixed_point_in_one_round():
