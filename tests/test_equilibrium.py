@@ -1,5 +1,6 @@
 """Damped iterated best response: fixed points, traces, determinism."""
 
+import json
 import os
 import re
 import subprocess
@@ -44,12 +45,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             EquilibriumConfig(mode="blinded", mu_sigma=1.0, w_sigma=-2.0)
 
-    @pytest.mark.parametrize("widths, unread", [({"mu_sigma": 2.0}, "['mu_sigma']"),
-                                                ({"w_sigma": 2.0}, "['w_sigma']"),
-                                                ({"mu_sigma": 2.0, "w_sigma": 5.0}, "['mu_sigma', 'w_sigma']")])
+    @pytest.mark.parametrize("widths, unread", [
+        ({"mu_sigma": 2.0}, "['mu_sigma']"),
+        ({"w_sigma": 2.0}, "['w_sigma']"),
+        ({"mu_sigma": 2.0, "w_sigma": 5.0}, "['mu_sigma', 'w_sigma']"),
+    ])
     def test_exante_takes_no_blinding_width(self, widths, unread):
         # ex ante nothing is blinded: a width would be recorded but never read
-        with pytest.raises(ValueError, match=re.escape(f"exante mode reads neither mu_sigma nor w_sigma, got {unread}")):
+        message = f"exante mode reads neither mu_sigma nor w_sigma, got {unread}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             EquilibriumConfig(mode="exante", **widths)
 
 
@@ -198,33 +202,51 @@ def test_format_report_mentions_rounds_and_shade():
     assert "r_delta" in text
 
 
-# prints the rounds of a 3-round blinded sigma-2 solve and of an ex-ante
-# shape-1 solve at gamma 0.25 as the hex of their bytes
+# prints the rounds of each solve whose EquilibriumConfig keywords the JSON
+# list in argv[1] gives, and its result, as the hex of their bytes
 RECORD_ROUNDS = """
+import json, sys
 from metaprice.distributions import gpd
 from metaprice.equilibrium import EquilibriumConfig, find_equilibrium
 from metaprice.grid import make_grid
 
 grid, f = make_grid(0, 10, 50, 200), gpd(0, 1, 1.0, 0, 10)
-for config in (EquilibriumConfig(mode="blinded", mu_sigma=2.0, w_sigma=2.0, max_rounds=3),
-               EquilibriumConfig(gamma=0.25)):
-    trace = find_equilibrium(f, config, grid)
+for kwargs in json.loads(sys.argv[1]):
+    trace = find_equilibrium(f, EquilibriumConfig(**kwargs), grid)
     for rnd in trace.rounds:
         print(rnd.rule.values.tobytes().hex(), rnd.shades.tobytes().hex(), rnd.r_delta.hex(), rnd.s_delta.hex())
     print(trace.rule.values.tobytes().hex(), trace.strategy.tobytes().hex())
 """
 
 
-def test_rounds_do_not_depend_on_the_blas_thread_count():
-    # a multi-threaded BLAS may sum the per-belief product scan @ weights in
-    # another order; the rounds must come out the same bytes either way
+def rounds_under_one_and_two_blas_threads(configs: list[dict]) -> list[str]:
+    """What RECORD_ROUNDS prints for ``configs`` under one BLAS thread and under two."""
     src = str(Path(metaprice.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
-        proc = subprocess.run([sys.executable, "-c", RECORD_ROUNDS], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+        proc = subprocess.run([sys.executable, "-c", RECORD_ROUNDS, json.dumps(configs)], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
+    return outputs
+
+
+def test_rounds_do_not_depend_on_the_blas_thread_count():
+    # a multi-threaded BLAS may sum the per-belief product scan @ weights in
+    # another order; these three sigma-2 rounds and this ex-ante solve come out
+    # the same bytes either way, but a sigma-10 round does not (below)
+    outputs = rounds_under_one_and_two_blas_threads(
+        [{"mode": "blinded", "mu_sigma": 2.0, "w_sigma": 2.0, "max_rounds": 3}, {"gamma": 0.25}])
     # three blinded rounds and the result, then at least one ex-ante round and the result
     assert len(outputs[0].splitlines()) >= 3 + 1 + 1 + 1
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.xfail(strict=False, raises=AssertionError,
+                   reason="blinded sigma 10 depends on the BLAS thread count from round 1 on (ROADMAP, Failing checks)")
+def test_a_sigma_10_round_does_not_depend_on_the_blas_thread_count():
+    outputs = rounds_under_one_and_two_blas_threads([{"mode": "blinded", "mu_sigma": 10.0, "w_sigma": 10.0,
+                                                      "max_rounds": 1}])
+    # one round and the result
+    assert len(outputs[0].splitlines()) == 1 + 1
     assert outputs[0] == outputs[1]
