@@ -105,7 +105,7 @@ class RetainedRow:
 
     ``fill(v)`` overwrites ``fill.row`` with ``I[x < v] x + I[x >= v] r(x - v)``
     and returns it.  The rule is evaluated only on the winning tail's window
-    inside its :func:`_support`, one linear piece at a time: ``slope * (x - node)
+    inside the rule's :func:`_support`, one linear piece at a time: ``slope * (x - node)
     + left`` in numpy's order of operations (:func:`_pieces`), the same
     bits as ``np.interp``.  The rest of the tail is zero, which is what
     interpolation between or past zero nodes returns.
