@@ -33,25 +33,20 @@ def _kernel_columns(centers: np.ndarray, points: np.ndarray, sigma: float, lo: f
     return np.exp(-0.5 * z * z) / (sigma * _SQRT2PI) / mass[None, :]
 
 
-def _signal_kernel(sigma: float, grid: Grid) -> np.ndarray:
-    """Nodes-by-samples kernel ``K[i, j]``, shape ``(bins, bins * subsamples)``:
-    the density of signal ``mids[i]`` at true profit ``samples[j]``."""
+def _signal_masses(f_samples: np.ndarray, sigma: float, grid: Grid) -> np.ndarray:
+    """Unnormalized signal density at the nodes, ``sum_j f(samples[j]) K[i, j] dx``, where
+    ``K[i, j]`` is the density of signal ``mids[i]`` at true profit ``samples[j]``; the
+    same sums are the posteriors' normalizers."""
     if not sigma > 0.0:
         raise ValueError("blinding stddev must be strictly positive")
-    return _kernel_columns(grid.samples, grid.mids, sigma, grid.lower, grid.upper)
+    kernel = _kernel_columns(grid.samples, grid.mids, sigma, grid.lower, grid.upper)
+    return (f_samples * kernel).sum(axis=1) * grid.sample_width
 
 
-def _signal_density(f_samples: np.ndarray, kernel: np.ndarray, grid: Grid) -> Tabulated:
-    values = kernel @ (f_samples * grid.sample_width)
-    return Tabulated(grid, values, "density").normalized()
-
-
-def _posteriors(f: DistributionSpec, f_samples: np.ndarray, kernel: np.ndarray, sigma: float,
-                grid: Grid) -> np.ndarray:
+def _posteriors(f: DistributionSpec, totals: np.ndarray, sigma: float, grid: Grid) -> np.ndarray:
     """Beliefs ``(bins, bins)``: row ``b`` holds the node values of ``f(x) * mu_x(mids[b])``
-    over its quadrature on the samples, so a row agrees with a fine-grid oracle."""
+    over ``totals[b]``, its quadrature on the samples, so a row agrees with a fine-grid oracle."""
     k_nodes = _kernel_columns(grid.mids, grid.mids, sigma, grid.lower, grid.upper)
-    totals = (f_samples * kernel).sum(axis=1) * grid.sample_width
     empty = ~(totals > 1e-300)  # NaN included
     if empty.any():
         raise ValueError(f"posterior at signal {grid.mids[empty.argmax()]} has zero mass")
@@ -67,7 +62,7 @@ def blind(f: DistributionSpec, sigma: float, grid: Grid) -> Tabulated:
     Returns the signal density tabulated on the grid, renormalized to unit
     mass.  ``sigma`` must be strictly positive.
     """
-    return _signal_density(pdf(f, grid.samples), _signal_kernel(sigma, grid), grid)
+    return Tabulated(grid, _signal_masses(pdf(f, grid.samples), sigma, grid), "density").normalized()
 
 
 def information(f: DistributionSpec, mu_sigma: float | None, w_sigma: float | None,
@@ -80,10 +75,9 @@ def information(f: DistributionSpec, mu_sigma: float | None, w_sigma: float | No
         ftab = tabulate_pdf(f, grid)
         return ftab, ftab.values[None, :], ftab
     f_samples = pdf(f, grid.samples)
-    kernel = _signal_kernel(mu_sigma, grid)
-    signal_density = _signal_density(f_samples, kernel, grid)
-    beliefs = _posteriors(f, f_samples, kernel, mu_sigma, grid)
+    totals = _signal_masses(f_samples, mu_sigma, grid)
+    signal_density = Tabulated(grid, totals, "density").normalized()
+    beliefs = _posteriors(f, totals, mu_sigma, grid)
     if w_sigma == mu_sigma:
         return signal_density, beliefs, signal_density
-    del kernel  # at most one kernel alive at a time
-    return signal_density, beliefs, _signal_density(f_samples, _signal_kernel(w_sigma, grid), grid)
+    return signal_density, beliefs, Tabulated(grid, _signal_masses(f_samples, w_sigma, grid), "density").normalized()

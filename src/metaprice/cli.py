@@ -77,6 +77,8 @@ def build_grid(config: ExperimentConfig) -> Grid:
 
 def build_distribution(config: ExperimentConfig, grid: Grid) -> DistributionSpec:
     """The configured distribution on the grid's window; rejects keys its family does not take."""
+    if not isinstance(config.distribution, dict):
+        raise ValueError(f"distribution must be a JSON object, got {type(config.distribution).__name__}")
     spec = dict(config.distribution)
     family = spec.pop("family", None)
     lo, hi = grid.lower, grid.upper

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ndtr
 
 from metaprice import blinding
-from metaprice.blinding import _kernel_columns, _signal_kernel, blind, information
+from metaprice.blinding import _kernel_columns, _signal_masses, blind, information
 from metaprice.distributions import gpd, pdf, uniform
 from metaprice.grid import Tabulated, integrate, make_grid
 
@@ -136,13 +136,14 @@ def test_posterior_zero_mass_rejected():
     with pytest.raises(ValueError):  # the signal density has no mass either
         posterior_at(spike, 1e-6, 9.9)
     with pytest.raises(ValueError, match=r"posterior at signal \S+ has zero mass"):
-        blinding._posteriors(spike, pdf(spike, GRID.samples), _signal_kernel(1e-6, GRID), 1e-6, GRID)
+        blinding._posteriors(spike, _signal_masses(pdf(spike, GRID.samples), 1e-6, GRID), 1e-6, GRID)
 
 
 def per_signal_posteriors(f, sigma, grid):
     """The posteriors one signal at a time, as ``Tabulated`` densities: the
     reference the beliefs matrix must reproduce bit for bit."""
-    f_samples, kernel = pdf(f, grid.samples), _signal_kernel(sigma, grid)
+    f_samples = pdf(f, grid.samples)
+    kernel = _kernel_columns(grid.samples, grid.mids, sigma, grid.lower, grid.upper)
     f_nodes = pdf(f, grid.mids)
     k_nodes = _kernel_columns(grid.mids, grid.mids, sigma, grid.lower, grid.upper)
     out = []
@@ -180,7 +181,7 @@ def test_bad_posteriors_raise_by_name(monkeypatch, bad_pdf, message):
     # finite mass, and finite, nonnegative node values
     monkeypatch.setattr(blinding, "pdf", lambda f, x: bad_pdf(np.asarray(x, dtype=float)))
     with pytest.raises(ValueError, match=re.escape(message)):
-        blinding._posteriors(F_PARETO, bad_pdf(GRID.samples), _signal_kernel(2.0, GRID), 2.0, GRID)
+        blinding._posteriors(F_PARETO, _signal_masses(bad_pdf(GRID.samples), 2.0, GRID), 2.0, GRID)
 
 
 def test_expected_posterior_variance_nondecreasing_in_sigma():

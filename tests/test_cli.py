@@ -137,6 +137,9 @@ def test_config_error_exits_one(tmp_path, capsys):
     no_mass = "truncation window carries no probability mass"
     for text, message in (("[1, 2]", "config must be a JSON object, got list"),
                           ('{"max_rounds": 1e400}', "max_rounds must be a whole number, got inf"),
+                          ('{"distribution": [["family", "uniform"]]}', "distribution must be a JSON object, got list"),
+                          ('{"distribution": "gpd"}', "distribution must be a JSON object, got str"),
+                          ('{"distribution": null}', "distribution must be a JSON object, got NoneType"),
                           # a NaN parameter gives the window a NaN mass
                           ('{"distribution": {"family": "truncated_normal", "mean": NaN}}', no_mass),
                           # an outdir that is no path is refused at set-up, not after the rounds
@@ -274,8 +277,8 @@ def test_blinded_collected_weighs_the_center_blinded_density(tmp_path):
 
 def test_artifact_writing_rebuilds_no_information(monkeypatch, tmp_path):
     # the solve builds one nodes-by-samples kernel per distinct blinding
-    # width and shares it between the signal density and the posteriors,
-    # and each belief's quadrature weights once; scoring the written rule
+    # width, whose one sum is both the signal density and the posteriors'
+    # normalizers, and each belief's quadrature weights once; scoring the written rule
     # reuses the solve's scan and builds none of them
     events = []
     kernel_columns, weights, write_artifacts = blinding._kernel_columns, bidder._weights, cli.write_artifacts
