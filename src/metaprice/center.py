@@ -89,25 +89,19 @@ def constraint_weights(shades: float | np.ndarray, constraint_density: Tabulated
     """
     masses = constraint_density.bin_masses()
     mids = grid.mids
-    shifted = mids - shades
-    w = np.zeros(grid.bins)
-    won = shifted >= 0.0
-    pos = shifted[won]
-    m = masses[won]
-
-    below = pos <= mids[0]
-    above = pos >= mids[-1]
-    mid_zone = ~(below | above)
-    np.add.at(w, 0, m[below].sum())
-    np.add.at(w, grid.bins - 1, m[above].sum())
-    if mid_zone.any():
-        p = pos[mid_zone]
-        mm = m[mid_zone]
-        j = np.searchsorted(mids, p, side="right") - 1
-        lam = (p - mids[j]) / grid.width
-        np.add.at(w, j, mm * (1.0 - lam))
-        np.add.at(w, j + 1, mm * lam)
-    return w
+    pos = mids - shades
+    won = pos >= 0.0
+    below = won & (pos <= mids[0])
+    above = won & (pos >= mids[-1])
+    inner = won & ~(below | above)
+    p = pos[inner]
+    m = masses[inner]
+    j = np.searchsorted(mids, p, side="right") - 1
+    lam = (p - mids[j]) / grid.width
+    # one sequential sum per node, in the order: clamped ends, lower shares, upper shares
+    return np.bincount(np.concatenate(([0, grid.bins - 1], j, j + 1)),
+                       np.concatenate(([masses[below].sum(), masses[above].sum()], m * (1.0 - lam), m * lam)),
+                       minlength=grid.bins)
 
 
 def _greedy_fill(c: np.ndarray, w: np.ndarray, ub: np.ndarray, k: float) -> np.ndarray:
@@ -126,9 +120,8 @@ def _greedy_fill(c: np.ndarray, w: np.ndarray, ub: np.ndarray, k: float) -> np.n
             f"budget k={k:.6g} exceeds maximum collectible {capacity:.6g} "
             f"(shortfall {k - capacity:.6g})"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(c > 0.0, w / c, np.inf)
-    order = np.lexsort((np.arange(len(ub)), -ratio))
+    ratio = np.divide(w, c, out=np.full(len(ub), np.inf), where=c > 0.0)
+    order = np.argsort(-ratio, kind="stable")
     order = order[w[order] > 0.0]  # a bin that collects nothing is never filled
     wo, ubo = w[order], ub[order]
     # what each bin could take with every earlier bin at its bound: the remainders, in order, over w

@@ -136,6 +136,121 @@ class TestConstraintWeights:
         assert collected(rule, strat, F_TAB, GRID) == pytest.approx(float(np.dot(w, rule.values)))
 
 
+def _weights_with_add_at(shades, constraint_density, grid):
+    """``constraint_weights`` as four ``np.add.at`` scatters: the reference for its bytes."""
+    masses = constraint_density.bin_masses()
+    mids = grid.mids
+    shifted = mids - shades
+    w = np.zeros(grid.bins)
+    won = shifted >= 0.0
+    pos = shifted[won]
+    m = masses[won]
+    below = pos <= mids[0]
+    above = pos >= mids[-1]
+    mid_zone = ~(below | above)
+    np.add.at(w, 0, m[below].sum())
+    np.add.at(w, grid.bins - 1, m[above].sum())
+    if mid_zone.any():
+        p = pos[mid_zone]
+        mm = m[mid_zone]
+        j = np.searchsorted(mids, p, side="right") - 1
+        lam = (p - mids[j]) / grid.width
+        np.add.at(w, j, mm * (1.0 - lam))
+        np.add.at(w, j + 1, mm * lam)
+    return w
+
+
+def _fill_with_lexsort(c, w, ub, k):
+    """``_greedy_fill`` ordering bins by ``lexsort`` on ``np.where`` ratios: the reference for its bytes."""
+    r = np.zeros_like(ub)
+    if k <= 0.0:
+        return r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(c > 0.0, w / c, np.inf)
+    order = np.lexsort((np.arange(len(ub)), -ratio))
+    order = order[w[order] > 0.0]
+    wo, ubo = w[order], ub[order]
+    fits = np.subtract.accumulate(np.concatenate(([k], ubo * wo)))[:-1] / wo
+    m = np.append(np.flatnonzero(fits < ubo), len(order))[0]
+    r[order[:m + 1]] = np.clip(fits[:m + 1], 0.0, ubo[:m + 1])
+    return r
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestOnePassBudgetRow:
+    """The budget row's one ``np.bincount`` and the fill's stable ``argsort`` give
+    the bytes of four ``np.add.at`` scatters and of a ``lexsort``."""
+
+    @staticmethod
+    def densities(rng):
+        yield F_TAB
+        for _ in range(3):
+            values = rng.uniform(0.0, 1.0, GRID.bins)
+            values[rng.uniform(size=GRID.bins) < 0.2] = 0.0
+            yield Tabulated(GRID, values, "density")
+
+    def assert_same_row(self, shades, density):
+        want = _weights_with_add_at(shades, density, GRID)
+        assert _same_bytes(constraint_weights(shades, density, GRID), want)
+
+    def test_constant_shades(self):
+        rng = np.random.RandomState(240)
+        for density in self.densities(rng):
+            for s in np.concatenate(([0.0, GRID.width, GRID.mids[0], GRID.upper, 11.0], rng.uniform(0, 11, 60))):
+                self.assert_same_row(float(s), density)
+
+    def test_profiles_with_repeated_target_nodes(self):
+        # several bins land on one node, or exactly on it
+        rng = np.random.RandomState(241)
+        for density in self.densities(rng):
+            for _ in range(30):
+                targets = rng.randint(0, GRID.bins, GRID.bins)
+                offsets = np.where(rng.uniform(size=GRID.bins) < 0.5, 0.0, rng.uniform(0, GRID.width, GRID.bins))
+                self.assert_same_row(np.maximum(GRID.mids - GRID.mids[targets] - offsets, 0.0), density)
+
+    def test_profiles_with_every_bin_lost(self):
+        rng = np.random.RandomState(242)
+        for density in self.densities(rng):
+            for _ in range(10):
+                shades = GRID.mids + rng.uniform(1e-9, 3.0, GRID.bins)
+                assert np.all(constraint_weights(shades, density, GRID) == 0.0)
+                self.assert_same_row(shades, density)
+
+    def test_profiles_with_every_bin_clamped_onto_the_top_node(self):
+        rng = np.random.RandomState(243)
+        for density in self.densities(rng):
+            for _ in range(10):
+                shades = GRID.mids - GRID.mids[-1] - rng.uniform(0.0, 2.0, GRID.bins)
+                w = constraint_weights(shades, density, GRID)
+                assert np.all(w[:-1] == 0.0)
+                self.assert_same_row(shades, density)
+
+    def test_random_profiles(self):
+        rng = np.random.RandomState(244)
+        for density in self.densities(rng):
+            for _ in range(30):
+                self.assert_same_row(rng.uniform(0.0, 11.0, GRID.bins), density)
+
+    def test_knapsacks_with_tied_ratios_and_zero_costs_or_weights(self):
+        rng = np.random.RandomState(245)
+        for trial in range(400):
+            n = rng.randint(2, 60)
+            c = rng.randint(0, 4, n) / 4.0  # few distinct values: many tied ratios
+            w = rng.randint(0, 4, n) / 8.0
+            if trial % 2:
+                c = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) > 0.3)
+                w = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) > 0.3)
+            ub = rng.uniform(0.1, 5.0, n)
+            cap = float(np.dot(w, ub))
+            for k in (0.0, rng.uniform(0.0, cap), cap):
+                if k > cap * (1.0 + 1e-12):
+                    continue
+                assert _same_bytes(_greedy_fill(c, w, ub, k), _fill_with_lexsort(c, w, ub, k)), trial
+
+
 class TestSolveCenter:
     def test_zero_budget_returns_vcg(self):
         budget = Budget(0.0, k_vcg(F_PARETO, GRID))

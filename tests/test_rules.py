@@ -8,7 +8,7 @@ from metaprice.center import Budget, InfeasibleBudgetError, collected, constrain
 from metaprice.distributions import gpd, tabulate_pdf
 from metaprice.equilibrium import EquilibriumConfig, Instance
 from metaprice.grid import make_grid
-from metaprice.rules import calibrate, diagnose, realize
+from metaprice.rules import _node_values, calibrate, diagnose, realize
 
 GRID = make_grid(0, 10, 50, 200)
 F_PARETO = gpd(0, 1, 1.0, 0, 10)
@@ -60,7 +60,7 @@ class TestCalibrate:
         budget = Budget.from_gamma(0.3, F_PARETO, GRID)
         ref = calibrate(family, F_PARETO, TRUTH, budget, GRID)
         got = collected(ref.realized, TRUTH, F_TAB, GRID)
-        assert abs(got - budget.k) <= 1e-6 * budget.k
+        assert abs(got - budget.k) <= 1e-12 * budget.k
 
     def test_vcg_cannot_meet_positive_budget(self):
         budget = Budget.from_gamma(0.1, F_PARETO, GRID)
@@ -110,6 +110,92 @@ class TestCalibrate:
         else:
             assert np.all(diffs >= -1e-12)
 
+
+def bisected(family, shades, k):
+    """The parameter a 100-step bisection on the budget row finds, and that row."""
+    w = constraint_weights(shades, F_TAB, GRID)
+    a, b = (GRID.upper, GRID.lower) if family == "small" else (GRID.lower, GRID.upper)
+    for _ in range(100):
+        mid = 0.5 * (a + b)
+        if float(np.dot(w, _node_values(family, mid, GRID))) < k:
+            a = mid
+        else:
+            b = mid
+    return b, w
+
+
+def take(family, w, param):
+    """What the row ``w`` collects from the family member at ``param``."""
+    return float(np.dot(w, realize(family, param, GRID).realized.values))
+
+
+PROFILE = np.clip(0.4 + 0.2 * GRID.mids, 0.0, 2.0)  # a linear profile like center-sweep's blinded items
+SHADES = {"truth": 0.0, "constant": 0.7, "profile": PROFILE}
+
+
+class TestClosedFormCalibration:
+    """The closed form agrees with a 100-step bisection on the same budget row."""
+
+    def assert_agrees(self, family, shades, k, abs_tol=1e-9):
+        want, w = bisected(family, shades, k)
+        ref = calibrate(family, F_PARETO, shades, Budget(1.0, k), GRID)
+        assert ref.param == pytest.approx(want, rel=0.0, abs=abs_tol)
+        assert abs(take(family, w, ref.param) - k) <= 1e-12 * k
+        return ref.param, w
+
+    @pytest.mark.parametrize("family", ["threshold", "small", "large"])
+    @pytest.mark.parametrize("shade", list(SHADES))
+    def test_agrees_with_bisection(self, family, shade):
+        for gamma in (0.01, 0.05, 0.17, 0.3, 0.45):
+            self.assert_agrees(family, SHADES[shade], Budget.from_gamma(gamma, F_PARETO, GRID).k)
+
+    @pytest.mark.parametrize("family", ["threshold", "small", "large"])
+    @pytest.mark.parametrize("shade", list(SHADES))
+    def test_k_at_a_breakpoint(self, family, shade):
+        w = constraint_weights(SHADES[shade], F_TAB, GRID)
+        knots = GRID.mids if family == "threshold" else GRID.edges
+        for i in (3, 17, 30):
+            param, _ = self.assert_agrees(family, SHADES[shade], take(family, w, knots[i]))
+            assert param == pytest.approx(knots[i], rel=0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("family", ["threshold", "small", "large"])
+    @pytest.mark.parametrize("shade", [*SHADES, 1.5])  # at 1.5 the top nodes take nothing: the top is flat
+    def test_k_at_full_collection(self, family, shade):
+        shades = SHADES.get(shade, shade)
+        w = constraint_weights(shades, F_TAB, GRID)
+        full = take(family, w, GRID.lower if family == "small" else GRID.upper)
+        # Small collects (e_1^2 - c^2) / 2h in bin 0, flat at the cutoff 0: there a last-bit
+        # change of k moves the cutoff by about sqrt(2h * 1e-16 * k / w_0), some 1e-8
+        self.assert_agrees(family, shades, full, abs_tol=1e-7 if family == "small" else 1e-9)
+
+    @pytest.mark.parametrize("family", ["threshold", "small", "large"])
+    def test_k_in_the_slack_above_full_collection(self, family):
+        w = constraint_weights(0.7, F_TAB, GRID)
+        extreme = GRID.lower if family == "small" else GRID.upper
+        k = take(family, w, extreme) * (1.0 + 5e-13)
+        param, _ = self.assert_agrees(family, 0.7, k)
+        assert param == extreme
+
+    @pytest.mark.parametrize("family", ["threshold", "small", "large"])
+    def test_zero_weight_bins_inside_the_bracket(self, family):
+        # bins 20-25 are lost, so their nodes take nothing and Small and Large are flat across them
+        shades = np.where((GRID.mids > 4.0) & (GRID.mids < 5.2), GRID.upper, 0.0)
+        w = constraint_weights(shades, F_TAB, GRID)
+        assert np.all(w[20:26] == 0.0) and np.all(w[:20] > 0.0) and np.all(w[26:] > 0.0)
+        knots = GRID.mids if family == "threshold" else GRID.edges
+        for i in (20, 23, 26):
+            flat = take(family, w, knots[i])
+            for k in (flat * (1.0 - 1e-9), flat * (1.0 + 1e-9), flat * (1.0 - 1e-3), flat * (1.0 + 1e-3)):
+                self.assert_agrees(family, shades, k)
+
+
+    def test_a_threshold_below_a_positive_lower_bound_still_stalls(self):
+        # on [2, 12] a cap at `lower` already collects 2 * sum(w) > k; the cap stays at
+        # `lower`, as a bisection's would, and the stall check refuses it
+        grid = make_grid(2, 12, 50, 200)
+        f = gpd(2, 1, 1.0, 2, 12)
+        with pytest.raises(InfeasibleBudgetError, match="stalled"):
+            calibrate("threshold", f, 0.0, Budget.from_gamma(0.01, f, grid), grid)
 
 class TestDiagnose:
     def test_vcg_all_zero(self):
