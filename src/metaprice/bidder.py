@@ -114,7 +114,7 @@ class RetainedRow:
     the zero fills depend on nothing but the bounds ``(i0, a, b)``, and the
     piece arrays spread over the window on nothing but its piece counts, so
     each is rebuilt only when those change; the window itself is refilled on
-    every call.  Assigning a new ``row`` starts it afresh.
+    every call.  ``reset(row)`` moves the fill to a new ``row``.
     """
 
     def __init__(self, rule, xs: np.ndarray) -> None:
@@ -122,18 +122,14 @@ class RetainedRow:
         # the bounds are searched with bisect on xs read in place as Python floats
         self._keys = memoryview(xs)
         self._counts = self._spread = None
-        self.row = np.empty(xs.size)
+        self.reset(np.empty(xs.size))
 
-    @property
-    def row(self) -> np.ndarray:
-        return self._row
-
-    @row.setter
-    def row(self, row: np.ndarray) -> None:
-        self._row, self._bounds = row, None
+    def reset(self, row: np.ndarray) -> None:
+        """Fill ``row`` from the next call on, starting it afresh."""
+        self.row, self._bounds = row, None
 
     def __call__(self, v: float) -> np.ndarray:
-        keys, xs, row = self._keys, self.xs, self._row
+        keys, xs, row = self._keys, self.xs, self.row
         lo, hi = self.support
         i0 = bisect_left(keys, v)
         a = _tail_search(keys, v, i0, lo, bisect_right)
@@ -175,7 +171,7 @@ def _fill_rows(out: np.ndarray, shades: np.ndarray, rule, xs: np.ndarray) -> np.
     """Fill ``out``'s rows in place with :func:`retained_integrand`'s rows at ``shades``."""
     fill = RetainedRow(rule, xs)
     for row, v in zip(out, shades.tolist()):
-        fill.row = row
+        fill.reset(row)
         fill(v)
     return out
 

@@ -104,6 +104,13 @@ def constraint_weights(shades: float | np.ndarray, constraint_density: Tabulated
                        minlength=grid.bins)
 
 
+def fill_ratio(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The key :func:`_greedy_fill` sorts on, ``w / c``: inf where ``c = 0 < w``, 0 where ``w = 0`` (never filled)."""
+    ratio = np.divide(w, c, out=np.full(len(w), np.inf), where=c > 0.0)
+    ratio[w <= 0.0] = 0.0
+    return ratio
+
+
 def _greedy_fill(c: np.ndarray, w: np.ndarray, ub: np.ndarray, k: float) -> np.ndarray:
     """Exact solution of ``min c.r`` s.t. ``w.r >= k``, ``0 <= r <= ub``.
 
@@ -120,8 +127,7 @@ def _greedy_fill(c: np.ndarray, w: np.ndarray, ub: np.ndarray, k: float) -> np.n
             f"budget k={k:.6g} exceeds maximum collectible {capacity:.6g} "
             f"(shortfall {k - capacity:.6g})"
         )
-    ratio = np.divide(w, c, out=np.full(len(ub), np.inf), where=c > 0.0)
-    order = np.argsort(-ratio, kind="stable")
+    order = np.argsort(-fill_ratio(c, w), kind="stable")
     order = order[w[order] > 0.0]  # a bin that collects nothing is never filled
     wo, ubo = w[order], ub[order]
     # what each bin could take with every earlier bin at its bound: the remainders, in order, over w
@@ -145,14 +151,12 @@ def solve_center(objective_density: Tabulated, constraint_density: Tabulated,
 
 
 def ratio_diagnostics(f: DistributionSpec, s: float | np.ndarray, grid: Grid) -> np.ndarray:
-    """Per-bin exact-cdf mass ratio of ``f`` at the shade profile ``s``, as ``ratio.csv`` writes it.
+    """Per-bin exact-cdf mass ratio of ``f`` at the shade profile ``s``; no run calls it, and it
+    stays only because the benchmark's center-sweep calls and traces it.
 
     ``rho_b = [F(hi_b + s_b) - F(lo_b + s_b)] / [F(hi_b) - F(lo_b)]`` with the
     cdf saturating at the truncation boundary; bins with zero base mass map
-    to inf (collectible for free) or 0.  This is not the knapsack's fill
-    order, which sorts on ``w / c`` from the tabulated densities, blinded
-    runs included; the two differ by a median of 0.09–1.7 % per bin at
-    converged shades (ROADMAP item 3).  One ``cdf`` call covers the edges
+    to inf (collectible for free) or 0.  One ``cdf`` call covers the edges
     and both shifted edge sets; the cdf is computed point by point, so each
     mass is the difference it would be from separate calls.
     """

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bidder import deviation_incentive, regret_at_truth, retained_integrand
-from .center import InfeasibleBudgetError, PaymentRule, collected, payment_rule, ratio_diagnostics
+from .bidder import deviation_incentive, regret_at_truth
+from .center import InfeasibleBudgetError, PaymentRule, constraint_weights, fill_ratio, payment_rule
 from .distributions import (DistributionSpec, burr_xii, fit_empirical, gpd,
                             read_samples, truncated_normal, uniform)
 from .equilibrium import EquilibriumConfig, EquilibriumTrace, Instance, find_equilibrium, format_report
@@ -199,22 +199,17 @@ def read_rule_csv(path: str | Path, grid: Grid) -> PaymentRule:
 
 
 def write_artifacts(outdir: Path, trace: EquilibriumTrace, config: ExperimentConfig) -> dict:
+    """Write the reported rule and shades and the summary; ``ratio.csv`` and ``collected`` read one budget row."""
     outdir.mkdir(parents=True, exist_ok=True)
     rule, shades, instance = trace.rule, trace.strategy, trace.instance
     f, grid = instance.f, instance.grid
+    w = constraint_weights(shades, instance.constraint_density, grid)
 
     _write_csv(outdir / "rule.csv", ["psi", "payment_above_critical"],
                zip(grid.mids, rule.values))
     _write_csv(outdir / "strategy.csv", ["psi", "shade"], zip(grid.mids, shades))
-    rho = ratio_diagnostics(f, shades, grid)
-    _write_csv(outdir / "ratio.csv", ["psi", "ratio"],
-               zip(grid.mids, np.nan_to_num(rho, posinf=np.finfo(float).max)))
-
-    # one row per (shade, psi) pair, shade-major
-    psi, shade = np.meshgrid(grid.mids, grid.mids)
-    surface = retained_integrand(grid.mids, rule, grid.mids)
-    _write_csv(outdir / "surface.csv", ["psi", "shade", "value"],
-               zip(psi.ravel(), shade.ravel(), surface.ravel()))
+    rho = fill_ratio(instance.signal_density.bin_masses(), w)
+    _write_csv(outdir / "ratio.csv", ["psi", "ratio"], zip(grid.mids, np.minimum(rho, np.finfo(float).max)))
 
     truth = regret_at_truth(rule, f, grid)
     summary = {key: value for key, value in asdict(config).items() if key != "outdir"}
@@ -227,7 +222,7 @@ def write_artifacts(outdir: Path, trace: EquilibriumTrace, config: ExperimentCon
         "shade_nodes": [float(v) for v in shades],
         "deviation_incentive": deviation_incentive(rule, truth, instance.signal_density, instance.bidder),
         "regret_at_truth": truth,
-        "collected": collected(rule, shades, instance.constraint_density, grid),
+        "collected": float(np.dot(w, rule.values)),
     })
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)

@@ -67,8 +67,8 @@ def _invert(family: str, w: np.ndarray, k: float, grid: Grid) -> float:
     """
     edges, two_h = grid.edges, 2.0 * grid.width
     if family == "threshold":
-        # on [knots[q], knots[q + 1]] the bins b >= q pay the cap t and the bins b < q their midpoint
-        knots = np.concatenate(([grid.lower], grid.mids))
+        # on [knots[q], knots[q + 1]] the bins b >= q pay the cap t, b < q their midpoint; from 0, below lower too
+        knots = np.concatenate(([0.0], grid.mids))
         capped = np.cumsum(w[::-1])[::-1]
         uncapped = np.concatenate(([0.0], np.cumsum(w * grid.mids)))
         at = uncapped + knots * np.append(capped, 0.0)
@@ -97,7 +97,7 @@ def calibrate(family: str, f: DistributionSpec, shades: float | np.ndarray, budg
     piece: linear in the cap between midpoints for Threshold, and for Small
     and Large quadratic in the cutoff inside a bin, where only the bin holding
     the cutoff pays in part.  The amount at every breakpoint (the midpoints,
-    with ``lower`` in front, for Threshold; the bin edges for Small and
+    with 0 in front, for Threshold; the bin edges for Small and
     Large) comes from one cumulative sum over ``w``.  The two adjacent
     breakpoints whose amounts bracket ``k`` fix the piece, which is solved
     exactly: a division for Threshold, one square root for Small and Large.

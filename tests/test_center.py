@@ -252,6 +252,13 @@ class TestOnePassBudgetRow:
 
 
 class TestSolveCenter:
+    @pytest.mark.parametrize("gamma, k, message", [(-0.1, 1.0, "gamma must lie in"), (1.5, 1.0, "gamma must lie in"),
+                                                   (0.25, 0.0, "k_vcg must be positive"),
+                                                   (0.25, -1.0, "k_vcg must be positive")])
+    def test_budget_rejects_gamma_outside_the_unit_interval_and_a_nonpositive_k_vcg(self, gamma, k, message):
+        with pytest.raises(ValueError, match=message):
+            Budget(gamma, k)
+
     def test_zero_budget_returns_vcg(self):
         budget = Budget(0.0, k_vcg(F_PARETO, GRID))
         rule = solve_center(F_TAB, F_TAB, Strategy.const(0.0), budget, GRID)

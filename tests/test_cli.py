@@ -13,7 +13,7 @@ import pytest
 from metaprice import bidder, blinding, cli
 from metaprice.bidder import KeptScan, Strategy, deviation_incentive, regret_at_truth
 from metaprice.blinding import blind
-from metaprice.center import PaymentRule, collected, payment_rule
+from metaprice.center import PaymentRule, _greedy_fill, collected, constraint_weights, payment_rule
 from metaprice.cli import ExperimentConfig, _write_csv, list_presets, main, preset_config, read_rule_csv
 from metaprice.distributions import gpd, tabulate_pdf
 from metaprice.equilibrium import EquilibriumConfig, Instance, find_equilibrium
@@ -52,28 +52,16 @@ def test_solve_writes_all_artifacts(tmp_path):
     config = write_config(tmp_path)
     assert main(["solve", "--config", str(config)]) == 0
     out = tmp_path / "out"
-    for name in ("rule.csv", "strategy.csv", "ratio.csv", "surface.csv", "summary.json"):
-        assert (out / name).exists(), name
+    assert sorted(p.name for p in out.iterdir()) == ["ratio.csv", "rule.csv", "strategy.csv", "summary.json"]
     assert open(out / "rule.csv").readline().strip() == "psi,payment_above_critical"
     assert open(out / "strategy.csv").readline().strip() == "psi,shade"
     assert open(out / "ratio.csv").readline().strip() == "psi,ratio"
-    assert open(out / "surface.csv").readline().strip() == "psi,shade,value"
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is True
     assert summary["gamma"] == 0.25
     assert 0.05 <= summary["shade"] <= 0.15
     assert summary["rounds"] <= 50
     assert len(summary["shade_nodes"]) == summary["bins"]
-
-
-def test_surface_has_loss_pyramid(tmp_path):
-    config = write_config(tmp_path)
-    main(["solve", "--config", str(config)])
-    rows = np.loadtxt(tmp_path / "out" / "surface.csv", delimiter=",", skiprows=1)
-    psi, shade, value = rows.T
-    losing = psi < shade
-    assert np.allclose(value[losing], psi[losing])  # loss region emits psi itself
-    assert rows.shape[0] == 50 * 50
 
 
 def test_experiment_defaults_are_the_equilibrium_defaults():
@@ -102,7 +90,7 @@ def test_identical_config_gives_byte_identical_outputs(tmp_path):
     config_b = tmp_path / "config_b.json"
     config_b.write_text(json.dumps({**json.loads(config_a.read_text()), "outdir": str(out_b)}))
     main(["solve", "--config", str(config_b)])
-    for name in ("rule.csv", "strategy.csv", "ratio.csv", "surface.csv"):
+    for name in ("rule.csv", "strategy.csv", "ratio.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
     sa = json.loads((out_a / "summary.json").read_text())
     sb = json.loads((out_b / "summary.json").read_text())
@@ -221,6 +209,25 @@ def test_setup_without_mass_is_a_config_error(tmp_path, command, config):
     assert not (tmp_path / "out").exists()
 
 
+def test_an_empirical_config_without_a_path_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, distribution={"family": "empirical"})
+    assert main(["solve", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "config error: empirical distribution needs a 'path' to a sample file\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_uniform_solve_writes_its_artifacts(tmp_path):
+    config = write_config(tmp_path, distribution={"family": "uniform"})
+    assert main(["solve", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["ratio.csv", "rule.csv", "strategy.csv", "summary.json"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["distribution"] == {"family": "uniform"}
+    assert summary["k_vcg"] == pytest.approx(5.0, rel=1e-12)  # the mean of a flat density on [0, 10]
+    # the reported rule is the damped average, which falls a little short of the budget
+    assert 0.99 * summary["k"] <= summary["collected"] <= summary["k"]
+
+
 def test_infeasible_budget_exits_two(tmp_path, capsys):
     # profits concentrated at one point: once shading starts, the required
     # collection exceeds what the envelope can raise
@@ -245,7 +252,7 @@ def test_samples_outside_the_window_are_reported_on_stderr(tmp_path, capsys):
         assert main(["solve", "--config", str(config)]) in (0, 3)
     assert capsys.readouterr().err == "warning: dropped 2 of 5 samples outside [0, 10]\n"
     # the dropped samples change nothing the solve writes
-    for name in ("rule.csv", "strategy.csv", "ratio.csv", "surface.csv"):
+    for name in ("rule.csv", "strategy.csv", "ratio.csv"):
         assert (tmp_path / "inside" / name).read_bytes() == (tmp_path / "outside" / name).read_bytes(), name
 
 
@@ -258,8 +265,8 @@ def test_nonconvergence_exits_three_but_writes_files(tmp_path):
 
 
 def test_blinded_collected_weighs_the_center_blinded_density(tmp_path):
-    # the center's budget row uses h = blind(f, w_sigma); summary's collected
-    # must weigh the reported rule and shades with the same density
+    # the center's budget row uses h = blind(f, w_sigma); summary's collected and
+    # ratio.csv must weigh the reported rule and shades with the same density
     config = write_config(tmp_path, mode="blinded", mu_sigma=2.0, w_sigma=5.0,
                           max_rounds=2, bins=20, subsamples=50)
     assert main(["solve", "--config", str(config)]) in (0, 3)
@@ -269,10 +276,59 @@ def test_blinded_collected_weighs_the_center_blinded_density(tmp_path):
     f = gpd(0, 1, 1.0, 0, 10)
     rule = payment_rule(grid, np.loadtxt(out / "rule.csv", delimiter=",", skiprows=1)[:, 1])
     strategy = Strategy.functional(Tabulated(grid, np.array(summary["shade_nodes"]), "strategy"))
-    under_h = collected(rule, strategy, blind(f, 5.0, grid), grid)
+    g, h = blind(f, 2.0, grid), blind(f, 5.0, grid)
+    under_h = collected(rule, strategy, h, grid)
     assert summary["collected"] == under_h
-    for other in (tabulate_pdf(f, grid), blind(f, 2.0, grid)):
+    c = g.bin_masses()
+    ratio = np.loadtxt(out / "ratio.csv", delimiter=",", skiprows=1)[:, 1]
+    assert ratio.tobytes() == csv_ratio(c, constraint_weights(strategy, h, grid)).tobytes()
+    for other in (tabulate_pdf(f, grid), g):
         assert collected(rule, strategy, other, grid) != pytest.approx(under_h, rel=1e-3)
+        assert not np.allclose(ratio, csv_ratio(c, constraint_weights(strategy, other, grid)), rtol=1e-3)
+
+
+def csv_ratio(c, w):
+    """The knapsack's ``w / c`` as ``ratio.csv`` writes it: 0 where ``w`` is 0 and
+    the largest float where ``c`` is 0 < ``w``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(c > 0.0, w / c, np.finfo(float).max)
+    return np.where(w > 0.0, ratio, 0.0)
+
+
+def fill_order(ratio, w):
+    """Bins by descending ``ratio``, ties from the lowest index, without the bins that collect nothing."""
+    order = np.lexsort((np.arange(len(ratio)), -ratio))
+    return order[w[order] > 0.0]
+
+
+@pytest.mark.parametrize("overrides, sigmas", [
+    ({}, None),
+    ({"mode": "blinded", "mu_sigma": 2.0, "w_sigma": 5.0, "max_rounds": 3}, (2.0, 5.0)),
+], ids=["exante", "blinded_2_5"])
+def test_ratio_csv_sorts_into_the_knapsacks_fill_order_at_the_reported_shades(tmp_path, overrides, sigmas):
+    # ratio.csv is w / c with c the center's objective bin masses (g) and w its
+    # budget row (h) at the reported shades, so sorting it is the fill's order
+    config = write_config(tmp_path, **overrides)
+    assert main(["solve", "--config", str(config)]) in (0, 3)
+    out = tmp_path / "out"
+    summary = json.loads((out / "summary.json").read_text())
+    grid = make_grid(0, 10, 50, 200)
+    f = gpd(0, 1, 1.0, 0, 10)
+    g, h = (tabulate_pdf(f, grid),) * 2 if sigmas is None else (blind(f, sigma, grid) for sigma in sigmas)
+    c, w = g.bin_masses(), constraint_weights(np.array(summary["shade_nodes"]), h, grid)
+    psi, ratio = np.loadtxt(out / "ratio.csv", delimiter=",", skiprows=1).T
+    assert psi.tolist() == grid.mids.tolist()
+    order = fill_order(ratio, w)
+    assert order.size > 1 and order.tolist() == fill_order(csv_ratio(c, w), w).tolist()
+    assert ratio.tobytes() == csv_ratio(c, w).tobytes()
+    # filling bins to their bound in that order until the budget binds is the center's answer
+    r, need = np.zeros(grid.bins), summary["k"]
+    for b in order.tolist():
+        r[b] = min(grid.mids[b], need / w[b])
+        need -= r[b] * w[b]
+        if r[b] < grid.mids[b]:
+            break
+    assert r == pytest.approx(_greedy_fill(c, w, grid.mids, summary["k"]), rel=1e-12, abs=1e-15)
 
 
 def test_artifact_writing_rebuilds_no_information(monkeypatch, tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from metaprice.distributions import (burr_xii, cdf, fit_empirical, gpd, mean, pdf,
+from metaprice.distributions import (Histogram, burr_xii, cdf, fit_empirical, gpd, mean, pdf,
                                      read_samples, tabulate_pdf, truncated_normal,
                                      uniform)
 from metaprice.grid import make_grid
@@ -199,3 +199,20 @@ class TestEmpirical:
 def test_tabulated_pdf_unit_mass():
     for spec in (gpd(0, 1, 1.0, 0, 10), burr_xii(2, 1, 0, 10), uniform(0, 10)):
         assert tabulate_pdf(spec, GRID).mass() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: burr_xii(0.0, 1.0, 0, 10), "Burr XII shape parameters must be positive"),
+    (lambda: burr_xii(2.0, -1.0, 0, 10), "Burr XII shape parameters must be positive"),
+    (lambda: burr_xii(2.0, 1.0, 0, 10, scale=0.0), "Burr XII scale must be positive"),
+    (lambda: truncated_normal(5.0, 0.0, 0, 10), "normal stddev must be positive"),
+    (lambda: Histogram(np.array([0.0, 1.0, 2.0]), np.array([1.0])), r"len\(edges\) == len\(densities\) \+ 1"),
+    (lambda: Histogram(np.array([0.0, 1.0]), np.array([-1.0])), "histogram densities must be nonnegative"),
+    (lambda: uniform(0.0, math.inf), "bad truncation window"),
+    (lambda: uniform(5.0, 1.0), "bad truncation window"),
+    (lambda: mean(uniform(20.0, 30.0), GRID), "no mass on the grid"),
+], ids=["burr_c", "burr_k", "burr_scale", "normal_stddev", "histogram_lengths", "histogram_negative",
+        "window_infinite", "window_inverted", "mean_off_the_grid"])
+def test_input_checks_name_what_is_wrong(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -162,3 +162,8 @@ def test_normalized_and_rules_on_read_only_values():
         assert not rule.values.flags.writeable
         assert np.array_equal(rule.values, vals)
     assert np.all(np.signbit(vals[::2]))
+
+
+def test_tabulated_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown kind 'belief'"):
+        Tabulated(make_grid(0, 10, 50, 10), np.zeros(50), "belief")

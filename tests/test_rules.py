@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from metaprice import rules
 from metaprice.bidder import Strategy
 from metaprice.center import Budget, InfeasibleBudgetError, collected, constraint_weights, k_vcg, solve_center
 from metaprice.distributions import gpd, tabulate_pdf
@@ -61,6 +62,12 @@ class TestCalibrate:
         ref = calibrate(family, F_PARETO, TRUTH, budget, GRID)
         got = collected(ref.realized, TRUTH, F_TAB, GRID)
         assert abs(got - budget.k) <= 1e-12 * budget.k
+
+    def test_an_unknown_family_is_refused(self):
+        with pytest.raises(ValueError, match="unknown reference family 'median'"):
+            realize("median", 1.0, GRID)
+        with pytest.raises(ValueError, match="unknown reference family 'median'"):
+            calibrate("median", F_PARETO, TRUTH, Budget.from_gamma(0.1, F_PARETO, GRID), GRID)
 
     def test_vcg_cannot_meet_positive_budget(self):
         budget = Budget.from_gamma(0.1, F_PARETO, GRID)
@@ -189,13 +196,24 @@ class TestClosedFormCalibration:
                 self.assert_agrees(family, shades, k)
 
 
-    def test_a_threshold_below_a_positive_lower_bound_still_stalls(self):
-        # on [2, 12] a cap at `lower` already collects 2 * sum(w) > k; the cap stays at
-        # `lower`, as a bisection's would, and the stall check refuses it
+    def test_a_threshold_below_a_positive_lower_bound_collects_the_budget(self):
+        # on [2, 12] a cap at `lower` already collects 2 * sum(w) > k; the cap k / sum(w)
+        # lies below `lower`, pays in every bin and collects k
         grid = make_grid(2, 12, 50, 200)
         f = gpd(2, 1, 1.0, 2, 12)
+        budget = Budget.from_gamma(0.01, f, grid)
+        ref = calibrate("threshold", f, 0.0, budget, grid)
+        w = constraint_weights(0.0, tabulate_pdf(f, grid), grid)
+        assert 0.0 < ref.param < grid.lower
+        assert ref.param == pytest.approx(budget.k / w.sum(), rel=1e-12)
+        assert abs(float(np.dot(w, ref.realized.values)) - budget.k) <= 1e-12 * budget.k
+
+    def test_the_stall_check_refuses_a_parameter_that_misses_the_budget(self, monkeypatch):
+        # the closed form lands on k; a parameter that does not is refused, not returned
+        monkeypatch.setattr(rules, "_invert", lambda family, w, k, grid: 0.5 * grid.mids[0])
         with pytest.raises(InfeasibleBudgetError, match="stalled"):
-            calibrate("threshold", f, 0.0, Budget.from_gamma(0.01, f, grid), grid)
+            calibrate("threshold", F_PARETO, TRUTH, Budget.from_gamma(0.1, F_PARETO, GRID), GRID)
+
 
 class TestDiagnose:
     def test_vcg_all_zero(self):

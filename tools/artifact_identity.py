@@ -1,8 +1,13 @@
 """Check that a change leaves every CLI artifact byte-identical.
 
-Runs one list of ``metaprice`` CLI commands twice, each command in its own
-subprocess: once with the working tree's ``src/`` and once with ``src/`` as
-committed at ``--base`` (extracted with ``git archive``).  The subprocess
+Runs one list of ``metaprice`` CLI commands four times, each command in its
+own subprocess: with the working tree's ``src/`` and with ``src/`` as
+committed at ``--base`` (extracted with ``git archive``), each under
+``OPENBLAS_NUM_THREADS=1`` and ``2``.  Each side is compared with the other
+at the same thread count.  The working tree's two thread counts are then
+compared with each other; those differences are printed but do not count
+towards the exit status (ex-ante runs at 400 sub-samples per bin depend on
+the thread count, so ``subsamples_400`` is expected among them).  The subprocess
 runs ``metaprice.cli.main`` through a small script that also records every
 equilibrium solve the command makes in ``rounds.json`` in its run's
 directory: the information the solve builds (the signal-density nodes, one
@@ -15,7 +20,8 @@ when the written artifacts round it away or the trajectories coincide, and
 a solve that ends in an infeasible budget still records the rounds it
 played.  Every artifact file, exit code, stdout and stderr is compared byte
 for byte, with stdout's ``runtime:`` line (wall time) left out.
-Prints each difference and exits 1 if there is one, 0 otherwise.  A
+Prints each difference and exits 1 if the working tree differs from the
+base at either thread count, 0 otherwise.  A
 differing ``summary.json`` is shown key by key with the base value, the
 working tree's value and their relative difference; a differing ``*.csv``
 or ``rounds.json`` with how many of its numbers differ and the largest
@@ -59,6 +65,7 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+THREAD_COUNTS = ("1", "2")
 
 CONFIGS = {
     "blinded_2_2.json": {"mode": "blinded", "mu_sigma": 2.0, "w_sigma": 2.0, "max_rounds": 3},
@@ -175,14 +182,15 @@ def extract_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run_side(src: Path, workdir: Path) -> dict[str, dict]:
-    """Run every command with ``src`` on the path; returns what each left behind."""
+def run_side(src: Path, workdir: Path, threads: str) -> dict[str, dict]:
+    """Run every command with ``src`` on the path and ``threads`` BLAS threads;
+    returns what each left behind."""
     workdir.mkdir(parents=True)
     for name, config in {**CONFIGS, **OTHER_CONFIGS}.items():
         (workdir / name).write_text(json.dumps(config))
     (workdir / "samples.txt").write_text("".join(f"{x!r}\n" for x in pareto_samples()))
     (workdir / "short_row.csv").write_text("psi,value\n0.1,0.0\n0.3\n0.5,0.2\n")
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
     results = {}
     for name, argv in run_list():
         proc = subprocess.run([sys.executable, "-c", RECORDER, f"runs/{name}/rounds.json", *argv],
@@ -240,11 +248,11 @@ def numbers(key: str, data: bytes) -> list:
     return list(walk(json.loads(data)))
 
 
-def detail(key: str, old: bytes | int | None, new: bytes | int | None) -> list[str]:
+def detail(key: str, old: bytes | int | None, new: bytes | int | None, sides: tuple[str, str]) -> list[str]:
     """Lines that show what differs: summary keys with sizes, sizes for CSV
-    files and ``rounds.json``, stdout lines."""
+    files and ``rounds.json``, stdout lines; ``sides`` names the old and the new run."""
     if old is None or new is None:
-        return [f"present only {'in the working tree' if old is None else 'at the base'}"]
+        return [f"present only {sides[1] if old is None else sides[0]}"]
     if key == "file summary.json":
         old, new = json.loads(old), json.loads(new)
         return [f"{k}: {old.get(k)!r} -> {new.get(k)!r} ({relative(old.get(k), new.get(k))})"
@@ -259,26 +267,42 @@ def detail(key: str, old: bytes | int | None, new: bytes | int | None) -> list[s
     return []
 
 
+def compare(old: dict[str, dict], new: dict[str, dict], sides: tuple[str, str], label: str) -> int:
+    """Print every artifact, exit code and output that differs between two runs of the list; returns how many."""
+    diffs = 0
+    for name in new:
+        for key in sorted(set(new[name]) | set(old[name])):
+            if new[name].get(key) != old[name].get(key):
+                diffs += 1
+                print(f"{label}{name}: {key} differs")
+                for line in detail(key, old[name].get(key), new[name].get(key), sides):
+                    print(f"    {line}")
+    return diffs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
     args = parser.parse_args(argv)
+    ours, theirs = {}, {}
     with tempfile.TemporaryDirectory(prefix="artifact-identity-") as tmp:
         tmp = Path(tmp)
-        print(f"working tree ({REPO / 'src'}):", file=sys.stderr)
-        ours = run_side(REPO / "src", tmp / "tree")
-        print(f"base {args.base}:", file=sys.stderr)
-        theirs = run_side(extract_src(args.base, tmp / "base"), tmp / "base-run")
+        base_src = extract_src(args.base, tmp / "base")
+        for threads in THREAD_COUNTS:
+            print(f"working tree ({REPO / 'src'}), {threads} BLAS thread(s):", file=sys.stderr)
+            ours[threads] = run_side(REPO / "src", tmp / f"tree-{threads}", threads)
+            print(f"base {args.base}, {threads} BLAS thread(s):", file=sys.stderr)
+            theirs[threads] = run_side(base_src, tmp / f"base-run-{threads}", threads)
     diffs = 0
-    for name in ours:
-        for key in sorted(set(ours[name]) | set(theirs[name])):
-            new, old = ours[name].get(key), theirs[name].get(key)
-            if new != old:
-                diffs += 1
-                print(f"{name}: {key} differs")
-                for line in detail(key, old, new):
-                    print(f"    {line}")
-    print(f"{diffs} difference(s) over {len(ours)} runs against {args.base}")
+    for threads in THREAD_COUNTS:
+        found = compare(theirs[threads], ours[threads], ("at the base", "in the working tree"), f"[{threads}] ")
+        print(f"{found} difference(s) over {len(ours[threads])} runs against {args.base} "
+              f"under OPENBLAS_NUM_THREADS={threads}")
+        diffs += found
+    one, two = THREAD_COUNTS
+    found = compare(ours[one], ours[two], (f"under {one} thread(s)", f"under {two} thread(s)"), f"[{one} vs {two}] ")
+    print(f"{found} difference(s) in the working tree between OPENBLAS_NUM_THREADS={one} and {two} "
+          "(not counted in the exit status)")
     return 1 if diffs else 0
 
 
