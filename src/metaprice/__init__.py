@@ -16,8 +16,8 @@ from .bidder import (Strategy, best_response_constant, deviation_incentive, reta
                      shade_objective)
 from .center import (Budget, InfeasibleBudgetError, PaymentRule, constraint_weights,
                      k_vcg, payment_rule, ratio_diagnostics, solve_center)
-from .rules import ReferenceRule, RuleDiagnostics, calibrate, diagnose, realize
-from .equilibrium import EquilibriumConfig, EquilibriumTrace, Instance, find_equilibrium, format_report
+from .rules import ReferenceRule, calibrate, realize
+from .equilibrium import EquilibriumConfig, EquilibriumTrace, Instance, diagnose, find_equilibrium, format_report
 
 __all__ = [
     "Grid", "Tabulated", "integrate", "make_grid",
@@ -29,6 +29,6 @@ __all__ = [
     "Budget", "PaymentRule", "payment_rule", "InfeasibleBudgetError",
     "constraint_weights", "solve_center",
     "ratio_diagnostics", "k_vcg",
-    "ReferenceRule", "RuleDiagnostics", "calibrate", "diagnose", "realize",
-    "EquilibriumConfig", "EquilibriumTrace", "Instance", "find_equilibrium", "format_report",
+    "ReferenceRule", "calibrate", "realize",
+    "EquilibriumConfig", "EquilibriumTrace", "Instance", "diagnose", "find_equilibrium", "format_report",
 ]

@@ -119,8 +119,6 @@ def _greedy_fill(c: np.ndarray, w: np.ndarray, ub: np.ndarray, k: float) -> np.n
     is set fractionally so the constraint binds with equality; the fill stops there.
     """
     r = np.zeros_like(ub)
-    if k <= 0.0:
-        return r
     capacity = float(np.dot(w, ub))
     if k > capacity * (1.0 + 1e-12):
         raise InfeasibleBudgetError(

@@ -20,9 +20,8 @@ from .bidder import deviation_incentive, regret_at_truth
 from .center import InfeasibleBudgetError, PaymentRule, constraint_weights, fill_ratio, payment_rule
 from .distributions import (DistributionSpec, burr_xii, fit_empirical, gpd,
                             read_samples, truncated_normal, uniform)
-from .equilibrium import EquilibriumConfig, EquilibriumTrace, Instance, find_equilibrium, format_report
+from .equilibrium import EquilibriumConfig, EquilibriumTrace, Instance, diagnose, find_equilibrium, format_report
 from .grid import Grid, make_grid
-from .rules import diagnose
 
 # what a malformed or unreadable config, or a set-up it leaves with no mass,
 # raises; JSONDecodeError is a ValueError
@@ -292,7 +291,7 @@ def main(argv=None) -> int:
         return 1
 
     if args.command == "diagnose":
-        print(json.dumps(asdict(report), sort_keys=True, indent=2))
+        print(json.dumps(report, sort_keys=True, indent=2))
         return 0
     summary = write_artifacts(outdir, trace, config)
     print(format_report(trace))

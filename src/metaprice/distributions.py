@@ -253,7 +253,7 @@ def fit_empirical(samples, grid: Grid) -> DistributionSpec:
 
 
 def read_samples(path: str | Path) -> list[float]:
-    """Plain-text sample file, one real per line; blank lines ignored."""
+    """Plain-text sample file, one finite real per line; blank lines ignored."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -261,9 +261,12 @@ def read_samples(path: str | Path) -> list[float]:
             if not text:
                 continue
             try:
-                out.append(float(text))
+                value = float(text)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from exc
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
+            out.append(value)
     return out
 
 

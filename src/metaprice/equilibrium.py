@@ -6,6 +6,7 @@ iterates are then folded into exponentially damped averages.  The loop stops
 when the sup-norm movement of both averages falls below the tolerance.
 Failure to converge is reported, not raised; an infeasible center budget
 propagates as :class:`~metaprice.center.InfeasibleBudgetError`.
+:func:`diagnose` scores any rule against an instance.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from typing import Literal
 
 import numpy as np
 
-from .bidder import KeptScan
+from .bidder import KeptScan, best_response_constant, deviation_incentive, regret_at_truth, shade_objective
 from .blinding import information
-from .center import Budget, PaymentRule, payment_rule, solve_center
-from .distributions import DistributionSpec
+from .center import Budget, PaymentRule, collected, payment_rule, solve_center
+from .distributions import DistributionSpec, tabulate_pdf
 from .grid import Grid, Tabulated, whole_number
 
 Mode = Literal["exante", "blinded"]
@@ -85,6 +86,28 @@ class Instance:
         budget = Budget.from_gamma(config.gamma, f, grid)
         signal_density, beliefs, constraint_density = information(f, config.mu_sigma, config.w_sigma, grid)
         return cls(f, grid, budget, signal_density, constraint_density, KeptScan(beliefs, grid))
+
+
+def diagnose(rule: PaymentRule, instance: Instance) -> dict[str, float]:
+    """Rule scorecard, flat as ``diagnose`` prints it: regret measures,
+    deviation incentive, collected budget.
+
+    The deviation incentive is taken against the instance's bidder; the
+    collected budget is taken at the bidder's constant best response.
+    """
+    f, grid = instance.f, instance.grid
+    ftab = tabulate_pdf(f, grid)
+    s_star = best_response_constant(rule, ftab, grid)
+    truth = regret_at_truth(rule, f, grid)
+    return {
+        "regret_at_truth": truth,
+        "worst_case_regret": float(rule.values.max()),
+        "deviation_incentive": deviation_incentive(rule, truth, instance.signal_density, instance.bidder),
+        "best_response_shade": s_star,
+        "retained_at_best_response": shade_objective(s_star, rule, ftab, grid),
+        "collected_at_truth": collected(rule, 0.0, ftab, grid),
+        "collected_at_strategy": collected(rule, s_star, ftab, grid),
+    }
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Reference payment rules and rule diagnostics.
+"""Reference payment rules.
 
 Closed-form rules from the auction-pricing literature expressed as payments
 above the critical value: VCG charges nothing; Threshold caps the payment at
@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bidder import best_response_constant, deviation_incentive, regret_at_truth, shade_objective
-from .center import Budget, InfeasibleBudgetError, PaymentRule, collected, constraint_weights, payment_rule
+from .center import Budget, InfeasibleBudgetError, PaymentRule, constraint_weights, payment_rule
 from .distributions import DistributionSpec, tabulate_pdf
-from .equilibrium import Instance
 from .grid import Grid
 
 FAMILIES = ("vcg", "threshold", "small", "large")
@@ -131,37 +129,3 @@ def calibrate(family: str, f: DistributionSpec, shades: float | np.ndarray, budg
             f"calibration of {family!r} stalled at collected={got:.9g} for k={k:.9g}"
         )
     return realize(family, param, grid)
-
-
-@dataclass(frozen=True)
-class RuleDiagnostics:
-    """Flat scalar report on a payment rule against a profit distribution."""
-
-    regret_at_truth: float
-    worst_case_regret: float
-    deviation_incentive: float
-    best_response_shade: float
-    retained_at_best_response: float
-    collected_at_truth: float
-    collected_at_strategy: float
-
-
-def diagnose(rule: PaymentRule, instance: Instance) -> RuleDiagnostics:
-    """Rule scorecard: regret measures, deviation incentive, collected budget.
-
-    The deviation incentive is taken against the instance's bidder; the
-    collected budget is taken at the bidder's constant best response.
-    """
-    f, grid = instance.f, instance.grid
-    ftab = tabulate_pdf(f, grid)
-    s_star = best_response_constant(rule, ftab, grid)
-    truth = regret_at_truth(rule, f, grid)
-    return RuleDiagnostics(
-        regret_at_truth=truth,
-        worst_case_regret=float(rule.values.max()),
-        deviation_incentive=deviation_incentive(rule, truth, instance.signal_density, instance.bidder),
-        best_response_shade=s_star,
-        retained_at_best_response=shade_objective(s_star, rule, ftab, grid),
-        collected_at_truth=collected(rule, 0.0, ftab, grid),
-        collected_at_strategy=collected(rule, s_star, ftab, grid),
-    )

@@ -463,6 +463,13 @@ class TestBrentPort:
     def test_matches_scipy_bit_for_bit(self, func, lo, hi, xatol):
         assert exact(*_brent_bounded(func, lo, hi, xatol)) == exact(*scipy_bounded(func, lo, hi, xatol))
 
+    def test_evaluation_cap_matches_scipy(self):
+        # with xatol 0 the tolerance around a minimum at 0 shrinks to nothing, so
+        # neither loop meets its stop test and both stop at 500 evaluations
+        ours = _brent_bounded(lambda s: s * s, -1.0, 1.0, 0.0)
+        assert ours[2] == 500
+        assert exact(*ours) == exact(*scipy_bounded(lambda s: s * s, -1.0, 1.0, 0.0))
+
     def test_step_direction_matches_scipy(self):
         # scipy steps by np.sign(t) + (t == 0): a zero step or a midpoint at
         # the current point goes up

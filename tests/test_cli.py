@@ -256,6 +256,16 @@ def test_samples_outside_the_window_are_reported_on_stderr(tmp_path, capsys):
         assert (tmp_path / "inside" / name).read_bytes() == (tmp_path / "outside" / name).read_bytes(), name
 
 
+def test_non_finite_samples_are_a_config_error(tmp_path, capsys):
+    # nan and the infinities are refused at their line, not dropped as outside the window
+    samples = tmp_path / "samples.txt"
+    samples.write_text("1.0\nnan\n2.5\ninf\n-inf\n3.0\n")
+    config = write_config(tmp_path, distribution={"family": "empirical", "path": str(samples)})
+    assert main(["solve", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"config error: {samples}:2: not a finite number: 'nan'\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_nonconvergence_exits_three_but_writes_files(tmp_path):
     config = write_config(tmp_path, alpha=0.9, max_rounds=3)
     assert main(["solve", "--config", str(config)]) == 3

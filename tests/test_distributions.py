@@ -1,6 +1,7 @@
 """Distribution families: closed-form anchors, truncation, histogram fits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,14 @@ class TestEmpirical:
         bad.write_text("1.5\nnot-a-number\n")
         with pytest.raises(ValueError):
             read_samples(bad)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_sample_file_reader_rejects_non_finite_lines(self, tmp_path, text):
+        # float() parses these; a fit would drop them as if outside the window
+        path = tmp_path / "samples.txt"
+        path.write_text(f"1.5\n{text}\n2.5\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: not a finite number: {text!r}$"):
+            read_samples(path)
 
 
 def test_tabulated_pdf_unit_mass():

@@ -1,5 +1,7 @@
-"""Package surface: public exports resolve, and the benchmark traces and calls what the package has."""
+"""Package surface: public exports resolve, ``rules`` stays below the solver, and the
+benchmark traces and calls what the package has."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -8,7 +10,9 @@ import sys
 from pathlib import Path
 
 import metaprice
+from metaprice import equilibrium
 
+PACKAGE = Path(metaprice.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS_PATH = BENCH / "spans.py"
 # Targets deleted on purpose that the benchmark still lists; a traced run
@@ -24,6 +28,34 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from metaprice import *", namespace)
     assert set(metaprice.__all__) <= set(namespace)
+
+
+def package_imports(module: str) -> dict[str, set[str]]:
+    """The package modules ``module``'s source imports, each with the names it takes from it."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            targets = [(alias.name, set()) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["metaprice" if node.level else None, node.module]))
+            targets = ([(f"{base}.{alias.name}", set()) for alias in node.names] if base == "metaprice"
+                       else [(base, {alias.name for alias in node.names})])
+        else:
+            continue
+        for name, names in targets:
+            if name.startswith("metaprice."):
+                found.setdefault(name.split(".")[1], set()).update(names)
+    return found
+
+
+def test_rules_imports_no_solver_layer():
+    # the reference families sit below the solver, so the solver can calibrate
+    # them; a rule is scored by equilibrium.diagnose, beside the instance
+    assert set(package_imports("rules")) <= {"center", "distributions", "grid"}
+    assert "rules" not in package_imports("cli")
+    assert "diagnose" not in package_imports("__init__").get("rules", set())
+    assert "cli" not in package_imports("__init__")
+    assert metaprice.diagnose is equilibrium.diagnose
 
 
 def test_benchmark_trace_targets_resolve(monkeypatch):

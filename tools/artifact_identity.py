@@ -25,7 +25,10 @@ base at either thread count, 0 otherwise.  A
 differing ``summary.json`` is shown key by key with the base value, the
 working tree's value and their relative difference; a differing ``*.csv``
 or ``rounds.json`` with how many of its numbers differ and the largest
-absolute and relative difference; differing stdout line by line.
+absolute and relative difference; differing stdout line by line.  Last it
+prints each ``src/metaprice`` module's line count at the base and in the
+working tree, with the difference and a total; these do not count towards
+the exit status.
 
     python tools/artifact_identity.py [--base REV]
 
@@ -280,6 +283,20 @@ def compare(old: dict[str, dict], new: dict[str, dict], sides: tuple[str, str], 
     return diffs
 
 
+def line_counts(src: Path) -> dict[str, int]:
+    """Lines of each ``metaprice`` module under ``src``, counted as ``wc -l`` counts them."""
+    return {p.name: p.read_bytes().count(b"\n") for p in (src / "metaprice").glob("*.py")}
+
+
+def print_line_counts(old: dict[str, int], new: dict[str, int], base: str) -> None:
+    """One row per module and a total: its lines at ``base``, in the working tree, and their difference."""
+    print(f"src/metaprice lines: {base}, working tree, difference")
+    rows = [(name, old.get(name, 0), new.get(name, 0)) for name in sorted(old.keys() | new.keys())]
+    rows.append(("total", sum(old.values()), sum(new.values())))
+    for name, at_base, in_tree in rows:
+        print(f"  {name:<18} {at_base:>6} {in_tree:>6} {in_tree - at_base:>+6}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
@@ -288,6 +305,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="artifact-identity-") as tmp:
         tmp = Path(tmp)
         base_src = extract_src(args.base, tmp / "base")
+        base_lines = line_counts(base_src)
         for threads in THREAD_COUNTS:
             print(f"working tree ({REPO / 'src'}), {threads} BLAS thread(s):", file=sys.stderr)
             ours[threads] = run_side(REPO / "src", tmp / f"tree-{threads}", threads)
@@ -303,6 +321,7 @@ def main(argv=None) -> int:
     found = compare(ours[one], ours[two], (f"under {one} thread(s)", f"under {two} thread(s)"), f"[{one} vs {two}] ")
     print(f"{found} difference(s) in the working tree between OPENBLAS_NUM_THREADS={one} and {two} "
           "(not counted in the exit status)")
+    print_line_counts(base_lines, line_counts(REPO / "src"), args.base)
     return 1 if diffs else 0
 
 
