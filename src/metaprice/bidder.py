@@ -209,38 +209,35 @@ class KeptScan:
     ``respond(rule)`` is the bidder's one best-response call.
 
     A row sits at a fixed shade, so which of its samples fall in which of the
-    rule's linear pieces depends on the grid alone.  ``update(rule)`` fills
-    every row through :class:`RetainedRow` for the first rule and for a rule
-    that moved more than a third of the pieces (``_REFILL_FRACTION``), where
+    rule's linear pieces depends on the grid alone: the scan finds where each
+    piece starts in each row when it is built.  ``update(rule)`` fills every
+    row through :class:`RetainedRow` for a rule that moved more than a third
+    of the pieces (``_REFILL_FRACTION``), the first rule among them, where
     that is cheaper; for any other it rewrites only the pieces whose
     ``(slope, left)`` bytes changed, with the kernel's operations in its
-    order, and finds where each piece starts in each row at the first such
-    rewrite.  A piece outside the support has slope and left zero and gives
+    order.  A piece outside the support has slope and left zero and gives
     ``+0.0``, the zero fill.
     """
 
     def __init__(self, beliefs: np.ndarray, grid: Grid) -> None:
         self.beliefs, self.grid, self.xs = beliefs, grid, grid.samples
-        self.shades = _scan_shades(grid)
+        self.shades = shades = _scan_shades(grid)
         self.weights = [_weights(belief, grid) for belief in beliefs]
-        self.matrix = self._starts = self._key = None
+        xs, cuts = grid.samples, np.concatenate(([-math.inf], grid.mids, [math.inf]))  # _pieces' cuts
+        self.matrix, self._key = np.empty((shades.size, xs.size)), None
+        # (pieces + 1, shades): where each piece starts in each row, found on the computed xs - v
+        self._starts = np.array([i + (xs[i:] - v).searchsorted(cuts)
+                                 for v, i in zip(shades.tolist(), xs.searchsorted(shades))]).T
 
     def update(self, rule) -> np.ndarray:
-        cuts, nodes, slopes, lefts = _pieces(rule)
+        _, nodes, slopes, lefts = _pieces(rule)
         key = np.stack((slopes, lefts)).view(np.int64)
         xs, shades = self.xs, self.shades
-        if self.matrix is None:
-            # the first rule moves every piece
-            self.matrix, moved = np.empty((shades.size, xs.size)), range(len(slopes))
-        else:
-            moved = np.flatnonzero((key != self._key).any(axis=0)).tolist()
+        # the first rule moves every piece
+        moved = range(len(slopes)) if self._key is None else np.flatnonzero((key != self._key).any(axis=0)).tolist()
         if len(moved) * _REFILL_FRACTION > len(slopes):
             _fill_rows(self.matrix, shades, rule, xs)
-        elif moved:
-            if self._starts is None:
-                # (pieces + 1, shades): where each piece starts in each row, found on the computed xs - v
-                self._starts = np.array([i + (xs[i:] - v).searchsorted(cuts)
-                                         for v, i in zip(shades.tolist(), xs.searchsorted(shades))]).T
+        else:
             for j in moved:
                 a, n = self._starts[j], self._starts[j + 1] - self._starts[j]
                 # every row's samples in piece j, row after row

@@ -217,7 +217,7 @@ def write_artifacts(outdir: Path, trace: EquilibriumTrace, config: ExperimentCon
         "rounds": trace.n_rounds,
         "k_vcg": instance.budget.k_vcg,
         "k": instance.budget.k,
-        "shade": float(shades[0]) if trace.config.mode == "exante" else None,
+        "shade": float(shades[0]) if instance.config.mode == "exante" else None,
         "shade_nodes": [float(v) for v in shades],
         "deviation_incentive": deviation_incentive(rule, truth, instance.signal_density, instance.bidder),
         "regret_at_truth": truth,

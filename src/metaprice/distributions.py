@@ -17,6 +17,7 @@ density ``(c k / lam) (x/lam)^(c-1) (1 + (x/lam)^c)^(-k-1)`` on ``x > 0``;
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -27,6 +28,16 @@ from .grid import Grid, Tabulated, integrate
 
 _XI_EXPONENTIAL = 1e-8
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+# float()'s grammar in ASCII, without digit-group underscores; nan and inf match, to be refused as not finite
+_REAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|nan|inf|infinity)",
+                   re.ASCII | re.IGNORECASE)
+
+
+def _finite(family: str, **params: float) -> None:
+    """Reject the first of a family's ``params`` that is NaN or infinite, by name."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{family} {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +47,7 @@ class GeneralizedPareto:
     shape: float = 0.0
 
     def __post_init__(self) -> None:
+        _finite("generalized Pareto", location=self.location, scale=self.scale, shape=self.shape)
         if not self.scale > 0.0:
             raise ValueError("generalized Pareto scale must be positive")
 
@@ -71,6 +83,7 @@ class BurrXII:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
+        _finite("Burr XII", c=self.shape_c, k=self.shape_k, scale=self.scale)
         if not (self.shape_c > 0.0 and self.shape_k > 0.0):
             raise ValueError("Burr XII shape parameters must be positive")
         if not self.scale > 0.0:
@@ -100,6 +113,7 @@ class Normal:
     stddev: float
 
     def __post_init__(self) -> None:
+        _finite("normal", mean=self.mean, stddev=self.stddev)
         if not self.stddev > 0.0:
             raise ValueError("normal stddev must be positive")
 
@@ -253,17 +267,17 @@ def fit_empirical(samples, grid: Grid) -> DistributionSpec:
 
 
 def read_samples(path: str | Path) -> list[float]:
-    """Plain-text sample file, one finite real per line; blank lines ignored."""
+    """Plain-text sample file, one finite real per line in plain ASCII decimal
+    notation; blank lines ignored."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.strip()
             if not text:
                 continue
-            try:
-                value = float(text)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from exc
+            if not _REAL.fullmatch(text):
+                raise ValueError(f"{path}:{lineno}: not a number: {text!r}")
+            value = float(text)
             if not math.isfinite(value):
                 raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
             out.append(value)

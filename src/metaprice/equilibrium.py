@@ -16,10 +16,10 @@ from typing import Literal
 
 import numpy as np
 
-from .bidder import KeptScan, best_response_constant, deviation_incentive, regret_at_truth, shade_objective
+from .bidder import KeptScan, deviation_incentive, regret_at_truth, shade_objective
 from .blinding import information
 from .center import Budget, PaymentRule, collected, payment_rule, solve_center
-from .distributions import DistributionSpec, tabulate_pdf
+from .distributions import DistributionSpec
 from .grid import Grid, Tabulated, whole_number
 
 Mode = Literal["exante", "blinded"]
@@ -68,10 +68,11 @@ class Round:
 
 @dataclass(frozen=True)
 class Instance:
-    """What a solve holds fixed: ``f`` on ``grid``, the budget, the bidder's signal
-    density, the center's budget density and ``bidder``, the bidder's kept scan."""
+    """What a solve holds fixed: ``f`` on ``grid`` under ``config``, the budget, the bidder's
+    signal density, the center's budget density and ``bidder``, the bidder's kept scan."""
 
     f: DistributionSpec
+    config: EquilibriumConfig
     grid: Grid
     budget: Budget
     signal_density: Tabulated
@@ -85,7 +86,7 @@ class Instance:
         bidder- and center-blinded densities, and the bidder answers each signal's posterior."""
         budget = Budget.from_gamma(config.gamma, f, grid)
         signal_density, beliefs, constraint_density = information(f, config.mu_sigma, config.w_sigma, grid)
-        return cls(f, grid, budget, signal_density, constraint_density, KeptScan(beliefs, grid))
+        return cls(f, config, grid, budget, signal_density, constraint_density, KeptScan(beliefs, grid))
 
 
 def diagnose(rule: PaymentRule, instance: Instance) -> dict[str, float]:
@@ -93,11 +94,13 @@ def diagnose(rule: PaymentRule, instance: Instance) -> dict[str, float]:
     deviation incentive, collected budget.
 
     The deviation incentive is taken against the instance's bidder; the
-    collected budget is taken at the bidder's constant best response.
+    collected budget is taken at the constant best response of an ex-ante
+    bidder, the instance itself when its config is ex ante.
     """
     f, grid = instance.f, instance.grid
-    ftab = tabulate_pdf(f, grid)
-    s_star = best_response_constant(rule, ftab, grid)
+    prior = instance if instance.config.mode == "exante" else Instance.build(
+        f, EquilibriumConfig(gamma=instance.config.gamma), grid)
+    ftab, s_star = prior.signal_density, float(prior.bidder.respond(rule)[0][0])
     truth = regret_at_truth(rule, f, grid)
     return {
         "regret_at_truth": truth,
@@ -112,7 +115,6 @@ def diagnose(rule: PaymentRule, instance: Instance) -> dict[str, float]:
 
 @dataclass
 class EquilibriumTrace:
-    config: EquilibriumConfig
     instance: Instance
     rounds: list[Round] = field(default_factory=list)
     converged: bool = False
@@ -128,7 +130,7 @@ def find_equilibrium(f: DistributionSpec, config: EquilibriumConfig, grid: Grid)
     """Run damped iterated best response from the truthful strategy on the
     instance :meth:`Instance.build` makes of ``f``, ``config`` and ``grid``."""
     instance = Instance.build(f, config, grid)
-    trace = EquilibriumTrace(config=config, instance=instance)
+    trace = EquilibriumTrace(instance)
     alpha = config.alpha
     r_bar = np.zeros(grid.bins)
     s_bar = np.zeros(grid.bins)
@@ -154,7 +156,7 @@ def find_equilibrium(f: DistributionSpec, config: EquilibriumConfig, grid: Grid)
 
 def format_report(trace: EquilibriumTrace) -> str:
     """Human-readable convergence report for a finished trace."""
-    cfg, budget = trace.config, trace.instance.budget
+    cfg, budget = trace.instance.config, trace.instance.budget
     lines = [
         f"mode: {cfg.mode}",
         f"gamma: {cfg.gamma}  (k = {budget.k:.6g}, k_vcg = {budget.k_vcg:.6g})",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from metaprice import bidder
 from metaprice.bidder import (_BRENT_XATOL, KeptScan, RetainedRow, Strategy, _brent_bounded,
                               _local_minima, _pieces, _scan_shades, _sign, _support, best_response_constant,
                               deviation_incentive, regret_at_truth, retained_integrand, shade_objective)
@@ -418,17 +419,38 @@ class TestKeptScan:
         self.walk(enumerate(solve_rules_in_order(f, grid, gamma=0.25)), grid)
 
     @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
-    def test_every_piece_moves_on_two_consecutive_rules(self, grid):
-        # each scaling moves every piece, so the matrix is refilled in place
-        # twice; the last rule moves two pieces, the first partial rewrite
+    def test_every_piece_moves_on_two_consecutive_rules(self, grid, monkeypatch):
+        # the first rule and each scaling after it move every piece, so the
+        # matrix is refilled in place three times; the last rule moves two
+        # pieces and is rewritten piece by piece, with no refill
         few = 0.75 * grid.mids
         few[grid.bins // 2] = 0.0
         rules = [(a, payment_rule(grid, a * grid.mids)) for a in (0.25, 0.5, 0.75)] + [("few", payment_rule(grid, few))]
         keys = [np.stack(_pieces(rule)[2:]).view(np.int64) for _, rule in rules]
         assert all((k0 != k1).any(axis=0).all() for k0, k1 in zip(keys[:2], keys[1:3]))
         assert (keys[2] != keys[3]).any(axis=0).sum() == 2
-        assert self.walk(rules[:3], grid)._starts is None
-        assert self.walk(rules, grid)._starts is not None
+        filled, fill_rows = [], bidder._fill_rows
+        monkeypatch.setattr(bidder, "_fill_rows", lambda out, *args: filled.append(out) or fill_rows(out, *args))
+        for walked in (rules[:3], rules):
+            filled.clear()
+            scan = self.walk(walked, grid)
+            assert sum(out is scan.matrix for out in filled) == 3
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    def test_a_new_scan_holds_its_matrix_and_piece_starts(self, grid):
+        # built whole: no update fills in the matrix or finds the piece starts later
+        scan = KeptScan(np.empty((0, grid.bins)), grid)
+        assert scan.matrix.shape == (scan.shades.size, grid.samples.size)
+        assert scan._starts.shape == (grid.bins + 2, scan.shades.size)
+        cuts = np.concatenate(([-math.inf], grid.mids, [math.inf]))
+        for row, v in enumerate(scan.shades):
+            # each piece's first sample in the row's winning tail, xs >= v
+            starts = np.maximum(np.searchsorted(grid.samples, v), np.searchsorted(grid.samples - v, cuts))
+            assert scan._starts[:, row].tolist() == starts.tolist()
+        matrix, starts = scan.matrix, scan._starts
+        scan.update(payment_rule(grid, 0.5 * grid.mids))
+        scan.update(payment_rule(grid, np.where(np.arange(grid.bins) == 3, 0.25 * grid.mids, 0.5 * grid.mids)))
+        assert scan.matrix is matrix and scan._starts is starts
 
     def test_weights_are_each_beliefs_quadrature_weights(self):
         posts = posteriors(F_PARETO, 2.0)

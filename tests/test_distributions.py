@@ -204,6 +204,20 @@ class TestEmpirical:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: not a finite number: {text!r}$"):
             read_samples(path)
 
+    @pytest.mark.parametrize("text", ["1_5", "\u0661\u0665", "\uff11\uff15"], ids=["underscore", "arabic_indic", "fullwidth"])
+    def test_sample_file_reader_takes_only_ascii_decimals(self, tmp_path, text):
+        # float() reads digit-group underscores and non-ASCII digits: each of these would read as 15
+        path = tmp_path / "samples.txt"
+        path.write_text(f"1.5\n{text}\n2.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: not a number: {re.escape(repr(text))}$"):
+            read_samples(path)
+
+    def test_sample_file_reader_takes_every_plain_decimal(self, tmp_path):
+        lines = ["+1E3", "-0.5", ".5", "5.", "7", "2e-3", repr(0.1), repr(1e-300), repr(-2.5e300), repr(1 / 3)]
+        path = tmp_path / "samples.txt"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        assert read_samples(path) == [float(line) for line in lines]
+
 
 def test_tabulated_pdf_unit_mass():
     for spec in (gpd(0, 1, 1.0, 0, 10), burr_xii(2, 1, 0, 10), uniform(0, 10)):

@@ -1,5 +1,6 @@
 """Damped iterated best response: fixed points, traces, determinism."""
 
+import dataclasses
 import json
 import os
 import re
@@ -13,10 +14,10 @@ import pytest
 import metaprice
 from metaprice import blinding
 from metaprice.bidder import KeptScan, Strategy, best_response_constant, shade_objective
-from metaprice.center import collected, solve_center
+from metaprice.center import collected, payment_rule, solve_center
 from metaprice.distributions import gpd, tabulate_pdf
-from metaprice.equilibrium import EquilibriumConfig, find_equilibrium, format_report
-from metaprice.grid import make_grid
+from metaprice.equilibrium import EquilibriumConfig, EquilibriumTrace, Instance, diagnose, find_equilibrium, format_report
+from metaprice.grid import Tabulated, make_grid
 
 GRID = make_grid(0, 10, 50, 200)
 SMALL = make_grid(0, 10, 20, 50)
@@ -131,6 +132,39 @@ def test_blinded_solve_builds_posteriors_once(monkeypatch):
     trace = find_equilibrium(F_PARETO, cfg, SMALL)
     assert trace.n_rounds == 3
     assert len(calls) == 1
+
+
+def test_a_trace_reads_its_config_from_its_instance():
+    cfg = EquilibriumConfig(mode="exante", gamma=0.25, max_rounds=2)
+    trace = find_equilibrium(F_PARETO, cfg, SMALL)
+    assert trace.instance.config is cfg
+    assert "config" not in {fld.name for fld in dataclasses.fields(EquilibriumTrace)}
+
+
+def test_exante_diagnose_reads_its_instances_table_and_scan(monkeypatch):
+    # an ex-ante instance holds f's table and the one-belief scan over it, so
+    # building it and scoring a rule tabulate f once and build one scan
+    scans, tables = [], []
+    init, normalized = KeptScan.__init__, Tabulated.normalized
+    monkeypatch.setattr(KeptScan, "__init__", lambda self, *args: scans.append(self) or init(self, *args))
+    monkeypatch.setattr(Tabulated, "normalized", lambda self: tables.append(self) or normalized(self))
+    instance = Instance.build(F_PARETO, EquilibriumConfig(gamma=0.25), GRID)
+    diagnose(payment_rule(GRID, np.where(GRID.mids >= 4.0, GRID.mids, 0.0)), instance)
+    assert scans == [instance.bidder]
+    assert len(tables) == 1
+
+
+def test_diagnose_scores_the_prior_side_against_an_exante_bidder():
+    # blinded or not, the best response, what it retains and what the budget
+    # row collects are read against f itself, with the bytes of a fresh table and scan
+    rule = payment_rule(GRID, np.where(GRID.mids >= 4.0, GRID.mids, 0.0))
+    s = best_response_constant(rule, F_TAB, GRID)
+    expected = {"best_response_shade": s, "retained_at_best_response": shade_objective(s, rule, F_TAB, GRID),
+                "collected_at_truth": collected(rule, 0.0, F_TAB, GRID),
+                "collected_at_strategy": collected(rule, s, F_TAB, GRID)}
+    for cfg in (EquilibriumConfig(gamma=0.25), EquilibriumConfig(mode="blinded", mu_sigma=2.0, w_sigma=2.0)):
+        report = diagnose(rule, Instance.build(F_PARETO, cfg, GRID))
+        assert {key: report[key].hex() for key in expected} == {key: v.hex() for key, v in expected.items()}
 
 
 def test_trace_is_deterministic():

@@ -6,9 +6,10 @@ committed at ``--base`` (extracted with ``git archive``), each under
 ``OPENBLAS_NUM_THREADS=1`` and ``2``.  Each side is compared with the other
 at the same thread count.  The working tree's two thread counts are then
 compared with each other; those differences are printed but do not count
-towards the exit status (ex-ante runs at 400 sub-samples per bin depend on
-the thread count, so ``subsamples_400`` is expected among them).  The subprocess
-runs ``metaprice.cli.main`` through a small script that also records every
+towards the exit status (ex-ante runs at 400 sub-samples per bin and the
+identity rule's best response to a uniform belief depend on the thread
+count, so ``subsamples_400`` and ``diagnose-identity_uniform`` are expected
+among them).  The subprocess runs ``metaprice.cli.main`` through a small script that also records every
 equilibrium solve the command makes in ``rounds.json`` in its run's
 directory: the information the solve builds (the signal-density nodes, one
 row of node values per belief and the constraint-density nodes), every
@@ -32,7 +33,7 @@ the exit status.
 
     python tools/artifact_identity.py [--base REV]
 
-The run list: ``preset exante-pareto`` at shapes -0.1, 0.01 and 1 and gamma
+The run list, 34 runs: ``preset exante-pareto`` at shapes -0.1, 0.01 and 1 and gamma
 0.1, 0.25, 0.4 and 0.5; ``preset exante-burr`` with its defaults and with
 ``--c 3 --k 2 --gamma 0.2``; blinded ``solve`` at mu/w sigma 2/2 and 1000/5
 with 3 rounds, and at 2/2 with 3 rounds on 30 bins on [0, 7]; an ex-ante truncated normal (mean 5, sd 1.5) at gamma 0.2;
@@ -41,8 +42,9 @@ at gamma 0.25; ex-ante ``solve`` on 30 bins; the default ex-ante solve (Pareto
 shape 1, gamma 0.25) at 50 x 400 sub-samples and undamped (alpha 1) for at
 most 12 rounds; ``diagnose`` of the shape-1,
 gamma-0.25 rule under the sigma-2 config, under a blinded config with mu sigma 2
-and w sigma 5 and under the default (ex-ante) config, and of the 30-bin run's
-rule under its own config; and seven runs that
+and w sigma 5 and under the default (ex-ante) config, of the 30-bin run's
+rule under its own config, and of the identity rule (``value = psi`` on the
+50 nodes of [0, 10]) under a uniform ``f``; and seven runs that
 exit 1: ``preset exante-pareto --gamma abc``, ``preset no-such-preset``,
 ``preset exante-pareto --sigma 1``, ``solve`` with ``{"bins": 1}``, an
 ex-ante ``solve`` with ``mu_sigma`` and ``w_sigma`` set, and ``diagnose``
@@ -89,6 +91,7 @@ CONFIGS = {
 }
 # configs read only by ``diagnose`` and the runs that exit 1
 OTHER_CONFIGS = {"exante.json": {}, "one_bin.json": {"bins": 1},
+                 "uniform.json": {"distribution": {"family": "uniform"}},
                  "blinded_2_5.json": {"mode": "blinded", "mu_sigma": 2.0, "w_sigma": 5.0},
                  "exante_mu_sigma.json": {"mode": "exante", "mu_sigma": 2.0, "w_sigma": 2.0, "max_rounds": 2}}
 
@@ -146,6 +149,12 @@ def pareto_samples(n: int = 400, upper: float = 10.0) -> list[float]:
     return out
 
 
+def default_nodes(bins: int = 50, upper: float = 10.0) -> list[float]:
+    """The nodes of ``bins`` bins on [0, ``upper``], computed as ``Grid.mids`` computes them."""
+    edges = [i * (upper / bins) for i in range(bins)] + [upper]
+    return [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
+
+
 def run_list() -> list[tuple[str, list[str]]]:
     """``(name, argv)`` pairs; a run named ``n`` writes into ``runs/n``."""
     runs = []
@@ -165,6 +174,8 @@ def run_list() -> list[tuple[str, list[str]]]:
                                ("diagnose-exante", "exante-pareto_1_0.25", "exante.json"),
                                ("diagnose-bins_30", "bins_30", "bins_30.json")):
         runs.append((name, ["diagnose", "--rule", f"runs/{rule}/rule.csv", "--config", config]))
+    runs.append(("diagnose-identity_uniform",
+                 ["diagnose", "--rule", "identity_rule.csv", "--config", "uniform.json"]))
     # bad input: exit 1 with one stderr line, compared like any output
     for name, argv in (("error-gamma-abc", ["preset", "exante-pareto", "--gamma", "abc"]),
                        ("error-no-such-preset", ["preset", "no-such-preset"]),
@@ -193,6 +204,7 @@ def run_side(src: Path, workdir: Path, threads: str) -> dict[str, dict]:
         (workdir / name).write_text(json.dumps(config))
     (workdir / "samples.txt").write_text("".join(f"{x!r}\n" for x in pareto_samples()))
     (workdir / "short_row.csv").write_text("psi,value\n0.1,0.0\n0.3\n0.5,0.2\n")
+    (workdir / "identity_rule.csv").write_text("psi,value\n" + "".join(f"{x!r},{x!r}\n" for x in default_nodes()))
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
     results = {}
     for name, argv in run_list():
