@@ -12,8 +12,7 @@ from .grid import Grid, Tabulated, integrate, make_grid
 from .distributions import (DistributionSpec, burr_xii, cdf, fit_empirical, gpd, mean,
                             pdf, tabulate_pdf, truncated_normal, uniform)
 from .blinding import blind, information
-from .bidder import (Strategy, best_response_constant, deviation_incentive, retained_integrand,
-                     shade_objective)
+from .bidder import Strategy, best_response_constant, deviation_incentive, shade_objective
 from .center import (Budget, InfeasibleBudgetError, PaymentRule, constraint_weights,
                      k_vcg, payment_rule, ratio_diagnostics, solve_center)
 from .rules import ReferenceRule, calibrate, realize
@@ -24,8 +23,7 @@ __all__ = [
     "DistributionSpec", "gpd", "burr_xii", "truncated_normal", "uniform",
     "fit_empirical", "pdf", "cdf", "mean", "tabulate_pdf",
     "blind", "information",
-    "Strategy", "retained_integrand", "shade_objective", "best_response_constant",
-    "deviation_incentive",
+    "Strategy", "shade_objective", "best_response_constant", "deviation_incentive",
     "Budget", "PaymentRule", "payment_rule", "InfeasibleBudgetError",
     "constraint_weights", "solve_center",
     "ratio_diagnostics", "k_vcg",

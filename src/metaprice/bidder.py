@@ -155,20 +155,9 @@ class RetainedRow:
         return row
 
 
-def retained_integrand(s, rule, xs: np.ndarray) -> np.ndarray:
-    """Retained regret ``I[x < s] x + I[x >= s] r(x - s)`` at ``xs``, one row per shade.
-
-    ``xs`` must be ascending, as ``grid.samples`` and ``grid.mids`` are.  One
-    :class:`RetainedRow` fills every row of one preallocated matrix.
-    """
-    xs = np.asarray(xs, dtype=float)
-    shades = np.asarray(s, dtype=float).reshape(-1)
-    out = _fill_rows(np.empty((shades.size, xs.size)), shades, rule, xs)
-    return out if np.ndim(s) > 0 else out[0]
-
-
 def _fill_rows(out: np.ndarray, shades: np.ndarray, rule, xs: np.ndarray) -> np.ndarray:
-    """Fill ``out``'s rows in place with :func:`retained_integrand`'s rows at ``shades``."""
+    """Fill ``out``'s rows in place with the retained regret ``I[x < s] x + I[x >= s] r(x - s)``
+    at the ascending ``xs``, one row per shade, through one :class:`RetainedRow`."""
     fill = RetainedRow(rule, xs)
     for row, v in zip(out, shades.tolist()):
         fill.reset(row)
@@ -183,11 +172,9 @@ def _weights(belief: np.ndarray, grid: Grid) -> np.ndarray:
 
 def shade_objective(s, rule, belief: Tabulated, grid: Grid):
     """Expected retained regret of shading by ``s`` (a scalar or an array) under ``belief``."""
-    weights = _weights(belief.values, grid)
-    out = retained_integrand(np.atleast_1d(np.asarray(s, dtype=float)), rule, grid.samples) @ weights
-    if np.isscalar(s) or np.asarray(s).ndim == 0:
-        return float(out[0])
-    return out
+    shades, xs = np.atleast_1d(np.asarray(s, dtype=float)), grid.samples
+    out = _fill_rows(np.empty((shades.size, xs.size)), shades, rule, xs) @ _weights(belief.values, grid)
+    return float(out[0]) if np.ndim(s) == 0 else out
 
 
 def _local_minima(values: np.ndarray) -> np.ndarray:
@@ -396,21 +383,20 @@ def regret_at_truth(rule, f: DistributionSpec, grid: Grid) -> float:
                         np.full(xs.shape, grid.sample_width)))
 
 
-def deviation_incentive(rule, truth: float, signal_density: Tabulated, scan: KeptScan) -> float:
+def deviation_incentive(truth: float, values: np.ndarray, signal_density: Tabulated) -> float:
     """Regret at truth minus the regret the bidder keeps by best responding.
 
-    ``truth`` is :func:`regret_at_truth`.  The best-response value against
-    each of ``scan``'s beliefs is weighed by the signal density, as
-    :func:`~metaprice.blinding.information` pairs them; one ex-ante value
-    holds at every signal.  Nonnegative up to quadrature error: ``truth``
-    integrates the exact pdf while the bidder's values use the tabulated
-    ``f``, so the difference can dip below zero (ROADMAP item 10).
+    ``truth`` is :func:`regret_at_truth` and ``values`` the best-response
+    values :meth:`KeptScan.respond` gives against each belief, weighed by the
+    signal density as :func:`~metaprice.blinding.information` pairs them; one
+    ex-ante value holds at every signal.  Nonnegative up to quadrature error:
+    ``truth`` integrates the exact pdf while the bidder's values use the
+    tabulated ``f``, so the difference can dip below zero (ROADMAP item 10).
     """
-    _, values = scan.respond(rule)
-    grid, xs = scan.grid, scan.xs
+    grid = signal_density.grid
+    xs = grid.samples
     # each signal node's value, interpolated between nodes and clamped at the ends
     value_curve = np.interp(xs, grid.mids, np.broadcast_to(values, grid.bins))
     retained = float(np.dot(np.asarray(signal_density(xs), dtype=float) * value_curve,
                             np.full(xs.shape, grid.sample_width)))
     return truth - retained
-

@@ -20,33 +20,38 @@ from .grid import Grid, Tabulated
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
-def _kernel_columns(centers: np.ndarray, points: np.ndarray, sigma: float, lo: float, hi: float) -> np.ndarray:
+def _kernel_columns(centers: np.ndarray, points: np.ndarray, sigma: float, lo: float, hi: float,
+                    name: str = "sigma") -> np.ndarray:
     """Matrix ``K[i, j]``: truncated Normal(centers[j], sigma) density at points[i].
 
     Each column is renormalized to the window ``[lo, hi]`` so edge-centered
-    kernels are not mass-deficient.
+    kernels are not mass-deficient; a width so wide that a column's window
+    mass rounds to zero is refused, by its ``name``.
     """
     from scipy.special import ndtr  # imported here so that importing the package loads no scipy
 
-    z = (points[:, None] - centers[None, :]) / sigma
     mass = ndtr((hi - centers) / sigma) - ndtr((lo - centers) / sigma)
+    if not np.all(mass > 0.0):
+        raise ValueError(f"blinding width {name} = {sigma:g} puts no kernel mass on [{lo:g}, {hi:g}]")
+    z = (points[:, None] - centers[None, :]) / sigma
     return np.exp(-0.5 * z * z) / (sigma * _SQRT2PI) / mass[None, :]
 
 
-def _signal_masses(f_samples: np.ndarray, sigma: float, grid: Grid) -> np.ndarray:
+def _signal_masses(f_samples: np.ndarray, sigma: float, grid: Grid, name: str = "sigma") -> np.ndarray:
     """Unnormalized signal density at the nodes, ``sum_j f(samples[j]) K[i, j] dx``, where
     ``K[i, j]`` is the density of signal ``mids[i]`` at true profit ``samples[j]``; the
     same sums are the posteriors' normalizers."""
     if not sigma > 0.0:
         raise ValueError("blinding stddev must be strictly positive")
-    kernel = _kernel_columns(grid.samples, grid.mids, sigma, grid.lower, grid.upper)
+    kernel = _kernel_columns(grid.samples, grid.mids, sigma, grid.lower, grid.upper, name)
     return (f_samples * kernel).sum(axis=1) * grid.sample_width
 
 
-def _posteriors(f: DistributionSpec, totals: np.ndarray, sigma: float, grid: Grid) -> np.ndarray:
+def _posteriors(f: DistributionSpec, totals: np.ndarray, sigma: float, grid: Grid,
+                name: str = "sigma") -> np.ndarray:
     """Beliefs ``(bins, bins)``: row ``b`` holds the node values of ``f(x) * mu_x(mids[b])``
     over ``totals[b]``, its quadrature on the samples, so a row agrees with a fine-grid oracle."""
-    k_nodes = _kernel_columns(grid.mids, grid.mids, sigma, grid.lower, grid.upper)
+    k_nodes = _kernel_columns(grid.mids, grid.mids, sigma, grid.lower, grid.upper, name)
     empty = ~(totals > 1e-300)  # NaN included
     if empty.any():
         raise ValueError(f"posterior at signal {grid.mids[empty.argmax()]} has zero mass")
@@ -75,9 +80,10 @@ def information(f: DistributionSpec, mu_sigma: float | None, w_sigma: float | No
         ftab = tabulate_pdf(f, grid)
         return ftab, ftab.values[None, :], ftab
     f_samples = pdf(f, grid.samples)
-    totals = _signal_masses(f_samples, mu_sigma, grid)
+    totals = _signal_masses(f_samples, mu_sigma, grid, "mu_sigma")
     signal_density = Tabulated(grid, totals, "density").normalized()
-    beliefs = _posteriors(f, totals, mu_sigma, grid)
+    beliefs = _posteriors(f, totals, mu_sigma, grid, "mu_sigma")
     if w_sigma == mu_sigma:
         return signal_density, beliefs, signal_density
-    return signal_density, beliefs, Tabulated(grid, _signal_masses(f_samples, w_sigma, grid), "density").normalized()
+    constraint_masses = _signal_masses(f_samples, w_sigma, grid, "w_sigma")
+    return signal_density, beliefs, Tabulated(grid, constraint_masses, "density").normalized()

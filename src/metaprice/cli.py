@@ -28,6 +28,13 @@ from .grid import Grid, make_grid
 CONFIG_ERRORS = (ValueError, TypeError, OSError)
 
 
+# the JSON types of the config keys that float() or a path would otherwise read:
+# a "7" or a null there is refused by the key's name
+_KEY_TYPES = {**dict.fromkeys(("gamma", "alpha", "tolerance", "upper", "lower"), ((int, float), "a number")),
+              **dict.fromkeys(("mu_sigma", "w_sigma"), ((int, float, type(None)), "a number or null")),
+              "outdir": ((str,), "a string")}
+
+
 def _no_booleans(obj: dict) -> dict:
     """``json.load``'s hook on each object of a config: no key takes true or false."""
     if flags := sorted(key for key, value in obj.items() if isinstance(value, bool)):
@@ -63,6 +70,9 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, (types, kind) in _KEY_TYPES.items():
+            if key in data and not isinstance(data[key], types):
+                raise ValueError(f"config key {key!r} must be {kind}, got {json.dumps(data[key])}")
         return cls(**data)
 
 
@@ -93,6 +103,8 @@ def build_distribution(config: ExperimentConfig, grid: Grid) -> DistributionSpec
         path = spec.pop("path", None)
         if path is None:
             raise ValueError("empirical distribution needs a 'path' to a sample file")
+        if not isinstance(path, str):  # open() would take an integer as a file descriptor
+            raise ValueError(f"empirical distribution 'path' must be a string, got {json.dumps(path)}")
         samples = read_samples(path)
         f = fit_empirical(samples, grid)
         if f.family.dropped:
@@ -219,7 +231,7 @@ def write_artifacts(outdir: Path, trace: EquilibriumTrace, config: ExperimentCon
         "k": instance.budget.k,
         "shade": float(shades[0]) if instance.config.mode == "exante" else None,
         "shade_nodes": [float(v) for v in shades],
-        "deviation_incentive": deviation_incentive(rule, truth, instance.signal_density, instance.bidder),
+        "deviation_incentive": deviation_incentive(truth, instance.bidder.respond(rule)[1], instance.signal_density),
         "regret_at_truth": truth,
         "collected": float(np.dot(w, rule.values)),
     })

@@ -17,6 +17,7 @@ density ``(c k / lam) (x/lam)^(c-1) (1 + (x/lam)^c)^(-k-1)`` on ``x > 0``;
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,8 +35,10 @@ _REAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|nan|i
 
 
 def _finite(family: str, **params: float) -> None:
-    """Reject the first of a family's ``params`` that is NaN or infinite, by name."""
+    """Reject the first of a family's ``params`` that is not a real number, or is NaN or infinite, by name."""
     for name, value in params.items():
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"{family} {name} must be a finite number, got {value!r}")
         if not math.isfinite(value):
             raise ValueError(f"{family} {name} must be finite, got {value}")
 

@@ -95,17 +95,20 @@ def diagnose(rule: PaymentRule, instance: Instance) -> dict[str, float]:
 
     The deviation incentive is taken against the instance's bidder; the
     collected budget is taken at the constant best response of an ex-ante
-    bidder, the instance itself when its config is ex ante.
+    bidder: the instance's own when its config is ex ante, else one scan of
+    ``f``'s table.
     """
     f, grid = instance.f, instance.grid
-    prior = instance if instance.config.mode == "exante" else Instance.build(
-        f, EquilibriumConfig(gamma=instance.config.gamma), grid)
-    ftab, s_star = prior.signal_density, float(prior.bidder.respond(rule)[0][0])
-    truth = regret_at_truth(rule, f, grid)
+    shades, values = instance.bidder.respond(rule)
+    ftab = instance.signal_density
+    if instance.config.mode == "blinded":
+        ftab, beliefs, _ = information(f, None, None, grid)
+        shades = KeptScan(beliefs, grid).respond(rule)[0]
+    s_star, truth = float(shades[0]), regret_at_truth(rule, f, grid)
     return {
         "regret_at_truth": truth,
         "worst_case_regret": float(rule.values.max()),
-        "deviation_incentive": deviation_incentive(rule, truth, instance.signal_density, instance.bidder),
+        "deviation_incentive": deviation_incentive(truth, values, instance.signal_density),
         "best_response_shade": s_star,
         "retained_at_best_response": shade_objective(s_star, rule, ftab, grid),
         "collected_at_truth": collected(rule, 0.0, ftab, grid),

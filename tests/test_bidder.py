@@ -8,9 +8,9 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from metaprice import bidder
-from metaprice.bidder import (_BRENT_XATOL, KeptScan, RetainedRow, Strategy, _brent_bounded,
+from metaprice.bidder import (_BRENT_XATOL, KeptScan, RetainedRow, Strategy, _brent_bounded, _fill_rows,
                               _local_minima, _pieces, _scan_shades, _sign, _support, best_response_constant,
-                              deviation_incentive, regret_at_truth, retained_integrand, shade_objective)
+                              deviation_incentive, regret_at_truth, shade_objective)
 from metaprice.blinding import information
 from metaprice.center import PaymentRule, payment_rule
 from metaprice.distributions import gpd, pdf, tabulate_pdf, uniform
@@ -35,7 +35,14 @@ def posteriors(f, sigma):
 def blinded_regret_di(rule, f, mu_sigma, grid):
     """Deviation incentive when the bidder answers each signal's posterior."""
     instance = Instance.build(f, EquilibriumConfig(mode="blinded", mu_sigma=mu_sigma, w_sigma=mu_sigma), grid)
-    return deviation_incentive(rule, regret_at_truth(rule, f, grid), instance.signal_density, instance.bidder)
+    return deviation_incentive(regret_at_truth(rule, f, grid), instance.bidder.respond(rule)[1],
+                               instance.signal_density)
+
+
+def fill_rows(shades, rule, xs):
+    """The retained regret at ``xs``, one row per shade, filled into a new matrix."""
+    shades = np.asarray(shades, dtype=float)
+    return _fill_rows(np.empty((shades.size, len(xs))), shades, rule, xs)
 
 
 def small_rule(cutoff):
@@ -130,16 +137,14 @@ class TestShadeObjective:
             assert v == pytest.approx(shade_objective(float(s), rule, F_TAB, GRID), rel=1e-12)
 
     def test_integrand_rows_match_scalar_shades(self):
-        # a scalar shade gives one 1-D row, an array one row per shade;
+        # one row per shade, each the row a single shade fills alone;
         # below the shade the bidder forfeits x, above it retains r(x - s)
         rule = small_rule(3.0)
         ss = np.array([0.0, 0.3, 1.7, 9.9])
-        rows = retained_integrand(ss, rule, GRID.mids)
+        rows = fill_rows(ss, rule, GRID.mids)
         assert rows.shape == (4, GRID.bins)
         for s, row in zip(ss, rows):
-            scalar = retained_integrand(float(s), rule, GRID.mids)
-            assert scalar.shape == (GRID.bins,)
-            assert np.array_equal(row, scalar)
+            assert np.array_equal(row, RetainedRow(rule, GRID.mids)(float(s)))
             lost = GRID.mids < s
             assert np.array_equal(row[lost], GRID.mids[lost])
             assert np.array_equal(row[~lost], rule(GRID.mids[~lost] - s))
@@ -161,11 +166,11 @@ class TestShadeObjective:
             edge = [landing_shades(xs, bound) for bound in support if math.isfinite(bound)]
             landed += sum(n for _, n in edge)
             shades = np.array(common + [v for found, _ in edge for v in found])
-            rows = retained_integrand(shades, rule, xs)
+            rows = fill_rows(shades, rule, xs)
             fill = RetainedRow(rule, xs)
             for s, row in zip(shades, rows):
                 masked = np.where(xs < s, xs, np.asarray(rule(xs - s), dtype=float)).tobytes()
-                assert retained_integrand(float(s), rule, xs).tobytes() == masked, (name, s)
+                assert row_bytes(rule, xs, s) == masked, (name, s)
                 assert row.tobytes() == masked, (name, s)
                 assert fill(float(s)).tobytes() == masked, (name, s)
         assert landed >= 10
@@ -184,10 +189,10 @@ class TestShadeObjective:
         # the scan matrix is the only large allocation: no per-row copies
         # stacked into a second matrix
         rule, shades = small_rule(3.0), _scan_shades(GRID)
-        retained_integrand(shades, rule, GRID.samples)
+        fill_rows(shades, rule, GRID.samples)
         tracemalloc.start()
         try:
-            scan = retained_integrand(shades, rule, GRID.samples)
+            scan = fill_rows(shades, rule, GRID.samples)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -241,7 +246,7 @@ class TestRulePieces:
         assert len(rules) == 6
         shades = _scan_shades(GRID)
         for i, rule in enumerate(rules):
-            rows = retained_integrand(shades, rule, GRID.samples)
+            rows = fill_rows(shades, rule, GRID.samples)
             for v, row in zip(shades, rows):
                 assert row.tobytes() == fresh_bytes(rule, GRID.samples, v), (i, v)
                 assert row_bytes(rule, GRID.samples, v) == fresh_bytes(rule, GRID.samples, v), (i, v)
@@ -254,7 +259,7 @@ class TestRulePieces:
         xs = grid.samples
         shades = np.concatenate((_scan_shades(grid), rng.uniform(-1.0, upper + 1.0, 20)))
         for rule in random_rules(grid, rng):
-            rows = retained_integrand(shades, rule, xs)
+            rows = fill_rows(shades, rule, xs)
             fill = RetainedRow(rule, xs)
             for v, row in zip(shades, rows):
                 assert row.tobytes() == fresh_bytes(rule, xs, v), v
@@ -392,7 +397,7 @@ class TestKeptScan:
                 scan.matrix.flags.writeable = False
             matrix = scan.update(rule)
             assert matrix is scan.matrix
-            assert matrix.tobytes() == retained_integrand(scan.shades, rule, grid.samples).tobytes(), name
+            assert matrix.tobytes() == fill_rows(scan.shades, rule, grid.samples).tobytes(), name
             matrix.flags.writeable, last = True, rule.values.tobytes()
         return scan
 
@@ -512,7 +517,7 @@ class TestBrentPort:
 
         cands = _scan_shades(GRID)
         basins = [(float(cands[max(i - 1, 0)]), float(cands[min(i + 1, len(cands) - 1)]))
-                  for i in _local_minima(retained_integrand(cands, rule, xs) @ weights)]
+                  for i in _local_minima(fill_rows(cands, rule, xs) @ weights)]
         assert basins
         for lo, hi in basins:
             ours = _brent_bounded(objective, lo, hi, _BRENT_XATOL)

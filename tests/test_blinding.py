@@ -125,6 +125,16 @@ def test_posterior_matches_fine_grid_product_oracle():
     assert l1 < 1e-3
 
 
+@pytest.mark.parametrize("sigma", [math.inf, 1e20, 1e300])
+def test_a_width_whose_kernel_has_no_window_mass_is_named(sigma):
+    # the window mass ndtr((hi - c)/sigma) - ndtr((lo - c)/sigma) rounds to zero
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match=re.escape(f"blinding width sigma = {sigma:g} puts no kernel mass")):
+            blind(F_PARETO, sigma, GRID)
+        with pytest.raises(ValueError, match=re.escape(f"blinding width w_sigma = {sigma:g} puts no kernel mass")):
+            information(F_PARETO, 5.0, sigma, GRID)
+
+
 def test_posterior_validates_inputs():
     with pytest.raises(ValueError):
         posteriors(F_PARETO, -1.0)

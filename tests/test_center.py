@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from metaprice.bidder import Strategy, retained_integrand
+from metaprice.bidder import Strategy, _fill_rows
 from metaprice.center import (Budget, InfeasibleBudgetError, PaymentRule, collected, constraint_weights,
                               k_vcg, payment_rule, ratio_diagnostics, solve_center)
 from metaprice import equilibrium
@@ -94,7 +94,7 @@ class TestPaymentRuleIsANodeTable:
         assert len(calls) == 2 and all(c is rule for c in calls)
         # the bidder's rows evaluate the rule by its pieces, with the same bits
         xs, shades = GRID.samples, np.array([0.5, 1.0, 2.0])
-        rows = retained_integrand(shades, rule, xs)
+        rows = _fill_rows(np.empty((shades.size, xs.size)), shades, rule, xs)
         for s, row in zip(shades, rows):
             assert row.tobytes() == np.where(xs < s, xs, np.interp(xs - s, GRID.mids, rule.values)).tobytes()
 

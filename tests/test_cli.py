@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,8 +132,8 @@ def test_config_error_exits_one(tmp_path, capsys):
                           # a NaN parameter is named by the family that owns it
                           ('{"distribution": {"family": "truncated_normal", "mean": NaN}}',
                            "normal mean must be finite, got nan"),
-                          # an outdir that is no path is refused at set-up, not after the rounds
-                          ('{"outdir": 5, "max_rounds": 2}', "expected str, bytes or os.PathLike object, not int")):
+                          # an outdir that is no path is refused at set-up, by name, not after the rounds
+                          ('{"outdir": 5, "max_rounds": 2}', "config key 'outdir' must be a string, got 5")):
         raw = tmp_path / "raw.json"
         raw.write_text(text)
         assert main(["solve", "--config", str(raw)]) == 1, text
@@ -217,6 +218,16 @@ def test_an_empirical_config_without_a_path_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("path, shown", [(12345, "12345"), (["samples.txt"], '["samples.txt"]')],
+                         ids=["integer", "list"])
+def test_an_empirical_path_that_is_no_string_is_a_config_error(tmp_path, capsys, path, shown):
+    # open() reads an integer as a file descriptor: 0 would read the samples from stdin
+    config = write_config(tmp_path, distribution={"family": "empirical", "path": path})
+    assert main(["solve", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"config error: empirical distribution 'path' must be a string, got {shown}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_uniform_solve_writes_its_artifacts(tmp_path):
     config = write_config(tmp_path, distribution={"family": "uniform"})
     assert main(["solve", "--config", str(config)]) == 0
@@ -291,6 +302,11 @@ NON_FINITE_PARAMETERS = [
     ({"family": "truncated_normal", "mean": math.inf}, "normal mean must be finite, got inf"),
     ({"family": "truncated_normal", "mean": -math.inf}, "normal mean must be finite, got -inf"),
     ({"family": "truncated_normal", "stddev": math.inf}, "normal stddev must be finite, got inf"),
+    # and a parameter that is no number at all
+    ({"family": "gpd", "shape": "abc"}, "generalized Pareto shape must be a finite number, got 'abc'"),
+    ({"family": "gpd", "scale": None}, "generalized Pareto scale must be a finite number, got None"),
+    ({"family": "burr", "k": "1"}, "Burr XII k must be a finite number, got '1'"),
+    ({"family": "truncated_normal", "mean": [5]}, "normal mean must be a finite number, got [5]"),
 ]
 
 
@@ -298,11 +314,61 @@ NON_FINITE_PARAMETERS = [
                          ids=[f"{d['family']}_{key}_{value}" for d, _ in NON_FINITE_PARAMETERS
                               for key, value in d.items() if key != "family"])
 def test_a_non_finite_distribution_parameter_is_named(tmp_path, capsys, distribution, message):
-    # JSON's NaN and Infinity reach the families; each used to end in a window without mass
+    # JSON's NaN and Infinity reach the families, and so do strings, nulls and
+    # lists; each used to end in a window without mass or an unnamed TypeError
     config = write_config(tmp_path, distribution=distribution)
     assert main(["solve", "--config", str(config)]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+WRONG_JSON_TYPES = [
+    ({"upper": "7", "max_rounds": 2}, 'config key \'upper\' must be a number, got "7"'),
+    ({"lower": "0.5"}, 'config key \'lower\' must be a number, got "0.5"'),
+    ({"gamma": "abc"}, 'config key \'gamma\' must be a number, got "abc"'),
+    ({"alpha": "0.3"}, 'config key \'alpha\' must be a number, got "0.3"'),
+    ({"tolerance": None}, "config key 'tolerance' must be a number, got null"),
+    ({"mode": "blinded", "mu_sigma": "2", "w_sigma": 2.0},
+     'config key \'mu_sigma\' must be a number or null, got "2"'),
+    ({"mode": "blinded", "mu_sigma": 2.0, "w_sigma": [2.0]},
+     "config key 'w_sigma' must be a number or null, got [2.0]"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", WRONG_JSON_TYPES, ids=[m.split("'")[1] for _, m in WRONG_JSON_TYPES])
+def test_a_config_value_of_the_wrong_json_type_is_named(tmp_path, capsys, overrides, message):
+    # float() would read "7" as 7, and a blinded "2" would meet a float in a
+    # comparison; each is refused by its key before anything is built
+    config = write_config(tmp_path, **overrides)
+    assert main(["solve", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--sigma", "inf"], "blinding width mu_sigma = inf puts no kernel mass on [0, 10]"),
+    (["--sigma", "1e20"], "blinding width mu_sigma = 1e+20 puts no kernel mass on [0, 10]"),
+    (["--w-sigma", "inf"], "blinding width w_sigma = inf puts no kernel mass on [0, 10]"),
+], ids=["sigma_inf", "sigma_1e20", "w_sigma_inf"])
+def test_a_blinding_width_without_window_mass_is_named(tmp_path, capsys, flags, message):
+    # the truncated kernel's window mass rounds to zero at these widths;
+    # dividing by it would warn and leave a non-finite table
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["preset", "blinded-pareto", *flags, "--outdir", str(tmp_path / "out")]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_wide_blinding_preset_still_solves(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["preset", "blinded-pareto", "--sigma", "1000", "--outdir", str(tmp_path / "out")]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["converged"] is True
+
 
 def test_nonconvergence_exits_three_but_writes_files(tmp_path):
     config = write_config(tmp_path, alpha=0.9, max_rounds=3)
@@ -387,10 +453,10 @@ def test_artifact_writing_rebuilds_no_information(monkeypatch, tmp_path):
     events = []
     kernel_columns, weights, write_artifacts = blinding._kernel_columns, bidder._weights, cli.write_artifacts
 
-    def counting_kernel(centers, points, sigma, lo, hi):
+    def counting_kernel(centers, points, sigma, *window_and_name):
         if len(centers) == 20 * 50 and len(points) == 20:  # centers at the samples, points at the nodes
             events.append(sigma)
-        return kernel_columns(centers, points, sigma, lo, hi)
+        return kernel_columns(centers, points, sigma, *window_and_name)
 
     def counting_weights(belief, grid):
         events.append("weights")
@@ -422,9 +488,9 @@ def test_deviation_incentive_through_the_solves_scan_is_a_fresh_scans(f, config)
     trace = find_equilibrium(f, config, grid)
     instance = trace.instance
     truth = regret_at_truth(trace.rule, f, grid)
-    kept = deviation_incentive(trace.rule, truth, instance.signal_density, instance.bidder)
-    fresh = deviation_incentive(trace.rule, truth, instance.signal_density,
-                                KeptScan(instance.bidder.beliefs, grid))
+    kept = deviation_incentive(truth, instance.bidder.respond(trace.rule)[1], instance.signal_density)
+    fresh = deviation_incentive(truth, KeptScan(instance.bidder.beliefs, grid).respond(trace.rule)[1],
+                                instance.signal_density)
     assert kept.hex() == fresh.hex()
 
 

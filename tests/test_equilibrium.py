@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import metaprice
-from metaprice import blinding
+from metaprice import blinding, center
 from metaprice.bidder import KeptScan, Strategy, best_response_constant, shade_objective
 from metaprice.center import collected, payment_rule, solve_center
 from metaprice.distributions import gpd, tabulate_pdf
@@ -152,6 +152,34 @@ def test_exante_diagnose_reads_its_instances_table_and_scan(monkeypatch):
     diagnose(payment_rule(GRID, np.where(GRID.mids >= 4.0, GRID.mids, 0.0)), instance)
     assert scans == [instance.bidder]
     assert len(tables) == 1
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that logs each call's arguments; returns the log."""
+    calls, original = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_exante_diagnose_responds_once(monkeypatch):
+    # the one response gives both the best-response shade and the deviation incentive
+    responses = counting(monkeypatch, KeptScan, "respond")
+    instance = Instance.build(F_PARETO, EquilibriumConfig(gamma=0.25), GRID)
+    diagnose(payment_rule(GRID, np.where(GRID.mids >= 4.0, GRID.mids, 0.0)), instance)
+    assert [args[0] for args in responses] == [instance.bidder]
+
+
+def test_blinded_diagnose_builds_no_budget(monkeypatch):
+    # the prior side needs f's table and one scan over it, not an ex-ante
+    # instance with its budget: no k_vcg quadrature, one new one-belief scan
+    instance = Instance.build(F_PARETO, EquilibriumConfig(mode="blinded", mu_sigma=2.0, w_sigma=2.0), GRID)
+    quadratures = counting(monkeypatch, center, "k_vcg")
+    scans = counting(monkeypatch, KeptScan, "__init__")
+    responses = counting(monkeypatch, KeptScan, "respond")
+    diagnose(payment_rule(GRID, np.where(GRID.mids >= 4.0, GRID.mids, 0.0)), instance)
+    assert quadratures == []
+    assert [args[1].shape for args in scans] == [(1, GRID.bins)]
+    assert len(responses) == 2 and responses[0][0] is instance.bidder
 
 
 def test_diagnose_scores_the_prior_side_against_an_exante_bidder():

@@ -5,24 +5,27 @@ own subprocess: with the working tree's ``src/`` and with ``src/`` as
 committed at ``--base`` (extracted with ``git archive``), each under
 ``OPENBLAS_NUM_THREADS=1`` and ``2``.  Each side is compared with the other
 at the same thread count.  The working tree's two thread counts are then
-compared with each other; those differences are printed but do not count
-towards the exit status (ex-ante runs at 400 sub-samples per bin and the
+compared with each other.  Ex-ante runs at 400 sub-samples per bin and the
 identity rule's best response to a uniform belief depend on the thread
-count, so ``subsamples_400`` and ``diagnose-identity_uniform`` are expected
-among them).  The subprocess runs ``metaprice.cli.main`` through a small script that also records every
+count, so differences in ``subsamples_400`` and ``diagnose-identity_uniform``
+(``THREAD_DEPENDENT``) are printed but do not count towards the exit status;
+a difference in any other run does.  The subprocess runs
+``metaprice.cli.main`` through a small script that also records every
 equilibrium solve the command makes in ``rounds.json`` in its run's
 directory: the information the solve builds (the signal-density nodes, one
 row of node values per belief and the constraint-density nodes), every
 round's rule nodes, shades, ``r_delta`` and ``s_delta`` as the solver builds
 the round, and the final rule and shade nodes of a solve that returns, as
-``repr`` floats.  Information built outside a solve, as ``diagnose`` builds
-it, is not recorded.  So a change that moves any iterate or belief shows, even
-when the written artifacts round it away or the trajectories coincide, and
+``repr`` floats.  Information built outside a solve, as a blinded
+``diagnose`` builds its prior side's, is not recorded.  So a change that
+moves any iterate or belief shows, even when the written artifacts round it
+away or the trajectories coincide, and
 a solve that ends in an infeasible budget still records the rounds it
 played.  Every artifact file, exit code, stdout and stderr is compared byte
 for byte, with stdout's ``runtime:`` line (wall time) left out.
 Prints each difference and exits 1 if the working tree differs from the
-base at either thread count, 0 otherwise.  A
+base at either thread count, or between its own two thread counts outside
+``THREAD_DEPENDENT``, 0 otherwise.  A
 differing ``summary.json`` is shown key by key with the base value, the
 working tree's value and their relative difference; a differing ``*.csv``
 or ``rounds.json`` with how many of its numbers differ and the largest
@@ -71,6 +74,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 THREAD_COUNTS = ("1", "2")
+# the runs whose working-tree bytes may differ between the two thread counts
+THREAD_DEPENDENT = ("subsamples_400", "diagnose-identity_uniform")
 
 CONFIGS = {
     "blinded_2_2.json": {"mode": "blinded", "mu_sigma": 2.0, "w_sigma": 2.0, "max_rounds": 3},
@@ -109,7 +114,7 @@ inform = equilibrium.information
 def recording_information(*args, **kwargs):
     signal_density, beliefs, constraint_density = out = inform(*args, **kwargs)
     if not solves or "rule" in solves[-1]:
-        return out  # outside a solve: diagnose builds its own instance
+        return out  # outside a solve: a blinded diagnose builds its prior side
     solves[-1]["information"] = {
         "signal_density": signal_density.values.tolist(),
         "beliefs": beliefs.tolist(),
@@ -282,13 +287,14 @@ def detail(key: str, old: bytes | int | None, new: bytes | int | None, sides: tu
     return []
 
 
-def compare(old: dict[str, dict], new: dict[str, dict], sides: tuple[str, str], label: str) -> int:
-    """Print every artifact, exit code and output that differs between two runs of the list; returns how many."""
-    diffs = 0
+def compare(old: dict[str, dict], new: dict[str, dict], sides: tuple[str, str], label: str) -> list[str]:
+    """Print every artifact, exit code and output that differs between two runs of the list;
+    returns the run's name for each difference."""
+    diffs = []
     for name in new:
         for key in sorted(set(new[name]) | set(old[name])):
             if new[name].get(key) != old[name].get(key):
-                diffs += 1
+                diffs.append(name)
                 print(f"{label}{name}: {key} differs")
                 for line in detail(key, old[name].get(key), new[name].get(key), sides):
                     print(f"    {line}")
@@ -325,16 +331,17 @@ def main(argv=None) -> int:
             theirs[threads] = run_side(base_src, tmp / f"base-run-{threads}", threads)
     diffs = 0
     for threads in THREAD_COUNTS:
-        found = compare(theirs[threads], ours[threads], ("at the base", "in the working tree"), f"[{threads}] ")
+        found = len(compare(theirs[threads], ours[threads], ("at the base", "in the working tree"), f"[{threads}] "))
         print(f"{found} difference(s) over {len(ours[threads])} runs against {args.base} "
               f"under OPENBLAS_NUM_THREADS={threads}")
         diffs += found
     one, two = THREAD_COUNTS
     found = compare(ours[one], ours[two], (f"under {one} thread(s)", f"under {two} thread(s)"), f"[{one} vs {two}] ")
-    print(f"{found} difference(s) in the working tree between OPENBLAS_NUM_THREADS={one} and {two} "
-          "(not counted in the exit status)")
+    unexpected = [name for name in found if name not in THREAD_DEPENDENT]
+    print(f"{len(found)} difference(s) in the working tree between OPENBLAS_NUM_THREADS={one} and {two}, "
+          f"{len(unexpected)} outside {', '.join(THREAD_DEPENDENT)}")
     print_line_counts(base_lines, line_counts(REPO / "src"), args.base)
-    return 1 if diffs else 0
+    return 1 if diffs or unexpected else 0
 
 
 if __name__ == "__main__":
