@@ -11,7 +11,6 @@ ties broken toward the smallest shade.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -84,31 +83,16 @@ def _support(rule) -> tuple[float, float]:
     return lo, hi
 
 
-def _tail_search(keys, v: float, i0: int, bound: float, side) -> int:
-    """``i0 + np.searchsorted(xs[i0:] - v, bound, side)`` on ``keys``, the ascending
-    ``xs`` as Python floats, with ``side`` ``bisect_left`` or ``bisect_right``.
-
-    The guess at ``bound + v`` is stepped to the exact index on the computed
-    ``keys[j] - v``, which never decreases as ``keys[j]`` grows.
-    """
-    before = operator.le if side is bisect_right else operator.lt
-    j = side(keys, bound + v, i0)
-    while j > i0 and not before(keys[j - 1] - v, bound):
-        j -= 1
-    while j < len(keys) and before(keys[j] - v, bound):
-        j += 1
-    return j
-
-
 class RetainedRow:
     """Fills ``row`` with one rule's retained regret at the ascending ``xs``, one shade per call.
 
     ``fill(v)`` overwrites ``fill.row`` with ``I[x < v] x + I[x >= v] r(x - v)``
-    and returns it.  The rule is evaluated only on the winning tail's window
-    inside the rule's :func:`_support`, one linear piece at a time: ``slope * (x - node)
-    + left`` in numpy's order of operations (:func:`_pieces`), the same
-    bits as ``np.interp``.  The rest of the tail is zero, which is what
-    interpolation between or past zero nodes returns.
+    and returns it.  The rule is evaluated only on the winning tail inside
+    its :func:`_support`, bisected at ``lo + v`` and ``hi + v`` and at most one
+    sample wider on each side, one linear piece at a time: ``slope * (x - node)
+    + left`` in numpy's order of operations (:func:`_pieces`), the same bits as
+    ``np.interp``.  The rest of the tail is zero; a sample outside the support
+    lies in a piece between or past zero nodes, which gives the same ``+0.0``.
 
     Each call rewrites only what its shade moved.  The prefix ``xs[:i0]`` and
     the zero fills depend on nothing but the bounds ``(i0, a, b)``, and the
@@ -132,8 +116,8 @@ class RetainedRow:
         keys, xs, row = self._keys, self.xs, self.row
         lo, hi = self.support
         i0 = bisect_left(keys, v)
-        a = _tail_search(keys, v, i0, lo, bisect_right)
-        b = _tail_search(keys, v, i0, hi, bisect_left)
+        a = max(i0, bisect_right(keys, lo + v, i0) - 1)
+        b = min(len(keys), bisect_left(keys, hi + v, i0) + 1)
         if (i0, a, b) != self._bounds:
             self._bounds = i0, a, b
             row[:i0] = xs[:i0]

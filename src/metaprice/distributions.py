@@ -218,22 +218,15 @@ def uniform(lo: float, hi: float) -> DistributionSpec:
 def pdf(spec: DistributionSpec, x) -> float | np.ndarray:
     """Truncated-renormalized density; zero outside the window and support."""
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    inside = (arr >= spec.lo) & (arr <= spec.hi)
-    out = np.where(inside, spec.family.raw_pdf(arr) / spec._norm, 0.0)
-    return float(out[0]) if scalar else out
+    out = np.where((arr >= spec.lo) & (arr <= spec.hi), spec.family.raw_pdf(arr) / spec._norm, 0.0)
+    return float(out) if arr.ndim == 0 else out
 
 
 def cdf(spec: DistributionSpec, x) -> float | np.ndarray:
     """Truncated cdf: 0 at ``lo``, 1 at ``hi``, monotone in between."""
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    clipped = np.clip(arr, spec.lo, spec.hi)
-    out = (spec.family.raw_cdf(clipped) - spec._cdf_lo) / spec._norm
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out
+    out = np.clip((spec.family.raw_cdf(np.clip(arr, spec.lo, spec.hi)) - spec._cdf_lo) / spec._norm, 0.0, 1.0)
+    return float(out) if arr.ndim == 0 else out
 
 
 def mean(spec: DistributionSpec, grid: Grid) -> float:

@@ -303,14 +303,14 @@ class TestRulePieces:
 
 
 def window_state(rule, xs, v):
-    """``(i0, a, b)`` and the window's piece counts at the shade ``v``, found
-    with ``np.searchsorted`` on the computed ``xs - v``."""
+    """``(i0, a, b)`` and the window's piece counts at the shade ``v``: the
+    support's bounds found with ``np.searchsorted`` at ``lo + v`` and ``hi + v``
+    and widened by one sample each side, inside the tail from ``i0``."""
     lo, hi = _support(rule)
     i0 = int(np.searchsorted(xs, v))
-    tail = xs[i0:] - v
-    a = i0 + int(np.searchsorted(tail, lo, "right"))
-    b = i0 + int(np.searchsorted(tail, hi, "left"))
-    return (i0, a, b), np.diff(np.searchsorted(tail[a - i0:b - i0], _pieces(rule)[0])).tobytes()
+    a = max(i0, int(np.searchsorted(xs[i0:], lo + v, "right")) + i0 - 1)
+    b = min(len(xs), int(np.searchsorted(xs[i0:], hi + v, "left")) + i0 + 1)
+    return (i0, a, b), np.diff(np.searchsorted(xs[a:b] - v, _pieces(rule)[0])).tobytes()
 
 
 def shade_walk(xs, support):
@@ -342,6 +342,22 @@ def test_one_evaluator_through_shade_walks_matches_fresh_fills():
             last = state
     # every combination of kept and moved bounds and piece counts was met
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_the_window_changes_only_speed():
+    # an evaluator whose support is the whole line evaluates every piece of the
+    # winning tail; a piece between or past zero nodes gives +0.0, the zero fill's bytes
+    rules = [(name, rule) for name, (rule, _) in WINDOW_RULES.items()]
+    rules += [(f"solve_{i}", rule) for i, rule in enumerate(solve_rules(GRID))]
+    xs = GRID.samples
+    for name, rule in rules:
+        fill, whole = RetainedRow(rule, xs), RetainedRow(rule, xs)
+        whole.support = (-INF, INF)
+        for v in shade_walk(xs, _support(rule)):
+            row = fill(v)
+            assert row.tobytes() == whole(v).tobytes(), (name, v)
+            assert whole._bounds[1:] == (whole._bounds[0], xs.size)
+            assert not np.any(np.signbit(row[row == 0.0])), (name, v)
 
 
 def solve_rules_in_order(f, grid, **config):

@@ -36,14 +36,16 @@ the exit status.
 
     python tools/artifact_identity.py [--base REV]
 
-The run list, 34 runs: ``preset exante-pareto`` at shapes -0.1, 0.01 and 1 and gamma
+The run list, 36 runs: ``preset exante-pareto`` at shapes -0.1, 0.01 and 1 and gamma
 0.1, 0.25, 0.4 and 0.5; ``preset exante-burr`` with its defaults and with
 ``--c 3 --k 2 --gamma 0.2``; blinded ``solve`` at mu/w sigma 2/2 and 1000/5
 with 3 rounds, and at 2/2 with 3 rounds on 30 bins on [0, 7]; an ex-ante truncated normal (mean 5, sd 1.5) at gamma 0.2;
 an ex-ante empirical fit of 400 seeded Pareto draws, all inside the window,
 at gamma 0.25; ex-ante ``solve`` on 30 bins; the default ex-ante solve (Pareto
 shape 1, gamma 0.25) at 50 x 400 sub-samples and undamped (alpha 1) for at
-most 12 rounds; ``diagnose`` of the shape-1,
+most 12 rounds; ex-ante ``solve`` on [2, 12] with generalized Pareto
+location 2 (shape 1), and blinded ``solve`` at sigma 2/2 with 3 rounds on
+the same window; ``diagnose`` of the shape-1,
 gamma-0.25 rule under the sigma-2 config, under a blinded config with mu sigma 2
 and w sigma 5 and under the default (ex-ante) config, of the 30-bin run's
 rule under its own config, and of the identity rule (``value = psi`` on the
@@ -77,6 +79,7 @@ THREAD_COUNTS = ("1", "2")
 # the runs whose working-tree bytes may differ between the two thread counts
 THREAD_DEPENDENT = ("subsamples_400", "diagnose-identity_uniform")
 
+LOWER_2_PARETO = {"family": "gpd", "location": 2.0, "scale": 1.0, "shape": 1.0}
 CONFIGS = {
     "blinded_2_2.json": {"mode": "blinded", "mu_sigma": 2.0, "w_sigma": 2.0, "max_rounds": 3},
     "blinded_1000_5.json": {"mode": "blinded", "mu_sigma": 1000.0, "w_sigma": 5.0, "max_rounds": 3},
@@ -93,6 +96,10 @@ CONFIGS = {
     # undamped: each round's rule is the center's fresh answer, so rules jump
     # and many of their pieces move at once
     "undamped_12.json": {"alpha": 1.0, "max_rounds": 12},
+    # a window that does not start at 0: Pareto shape 1 from location 2 on [2, 12]
+    "lower_2.json": {"lower": 2.0, "upper": 12.0, "distribution": LOWER_2_PARETO},
+    "blinded_2_2_lower_2.json": {"mode": "blinded", "mu_sigma": 2.0, "w_sigma": 2.0, "max_rounds": 3,
+                                 "lower": 2.0, "upper": 12.0, "distribution": LOWER_2_PARETO},
 }
 # configs read only by ``diagnose`` and the runs that exit 1
 OTHER_CONFIGS = {"exante.json": {}, "one_bin.json": {"bins": 1},
